@@ -79,7 +79,6 @@ from .y00_cipher import (
     draw_symbol_frames,
     eve_bit_mixtures,
     key_expansion_session,
-    keystream_bits,
     next_symbol_map,
 )
 

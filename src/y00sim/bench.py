@@ -1,8 +1,8 @@
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Time the numpy kernels, and the block-jump LFSR against its
+bit-by-bit oracle.
 
 Run with ``python -m y00sim.bench``; pass ``--scale`` to shrink or grow the
-workloads. Both backends are timed directly, regardless of which one the
-package selected at import.
+workloads. Exits 1 if the LFSR kernel and the oracle disagree.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ import time
 import numpy as np
 
 from . import kernels
+from .overlap_coding import pattern_array
 
 
 def _time(fn, *args, repeats: int = 5) -> float:
-    fn(*args)  # warm-up (and JIT compile for the numba side)
+    fn(*args)  # warm-up (and the LFSR's jump tables)
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -42,15 +43,9 @@ def _workloads(scale: float):
     sigma_i = np.full(n_states, 0.2)
     thr = np.linspace(1.2, 1.8, m)
     code_ids = rng.integers(0, 3, n_sym)
-    patterns = np.array(
-        [[[0, 0, 1], [1, 1, 0]], [[0, 1, 0], [1, 0, 1]], [[1, 0, 0], [0, 1, 1]]], dtype=np.uint8
-    )
+    patterns = pattern_array()
     return {
-        "lfsr_fill": (
-            np.uint64(0xACE1F00D),
-            np.uint64(0x80000062),
-            np.empty(n_bits, dtype=np.uint8),
-        ),
+        "lfsr_fill": (np.uint64(0xACE1F00D), np.uint64(0x80000062), np.empty(n_bits, np.uint8)),
         "srm_sample": (cdf, level_idx, rng.random(n_sym), np.empty(n_sym, dtype=np.int64)),
         "bob_errors": (level_idx, basis, polarity, bits, rng.standard_normal(n_sym), mean_i, sigma_i, thr),
         "coded_errors": (
@@ -62,20 +57,25 @@ def _workloads(scale: float):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="kernel backend benchmark")
+    parser = argparse.ArgumentParser(description="kernel benchmark")
     parser.add_argument("--scale", type=float, default=1.0, help="workload size multiplier")
     args = parser.parse_args(argv)
 
     loads = _workloads(args.scale)
-    print(f"{'kernel':<24}{'numpy (s)':>12}{'numba (s)':>12}{'speedup':>10}")
+    print(f"{'kernel':<24}{'numpy (s)':>12}{'oracle (s)':>12}{'speedup':>10}")
     for name, work in loads.items():
-        t_np = _time(kernels.NUMPY_IMPL[name], *work)
-        if kernels.NUMBA_IMPL is None:
-            print(f"{name:<24}{t_np:>12.5f}{'n/a':>12}{'n/a':>10}")
+        t_np = _time(getattr(kernels, name), *work)
+        if name != "lfsr_fill":
+            print(f"{name:<24}{t_np:>12.5f}")
             continue
-        t_nb = _time(kernels.NUMBA_IMPL[name], *work)
-        ratio = t_np / t_nb if t_nb > 0 else float("inf")
-        print(f"{name:<24}{t_np:>12.5f}{t_nb:>12.5f}{ratio:>9.1f}x")
+        state, mask, out = work
+        reference = np.empty_like(out)
+        t_ref = _time(kernels._lfsr_fill_py, state, mask, reference, repeats=1)
+        if not np.array_equal(out, reference):
+            print("lfsr_fill disagrees with the bit-by-bit oracle")
+            return 1
+        ratio = t_ref / t_np if t_np > 0 else float("inf")
+        print(f"{name:<24}{t_np:>12.5f}{t_ref:>12.5f}{ratio:>9.1f}x")
     return 0
 
 

@@ -129,7 +129,8 @@ def srm_error(ensemble: StateEnsemble) -> DetectionReport:
     if np.max(np.abs(ensemble.priors - 1.0 / n)) > 1e-12:
         raise ParameterError("the square-root measurement here is defined for uniform priors")
     s = psd_matrix_sqrt(gram_matrix(ensemble).entries)
-    per_state = np.abs(np.diag(s)) ** 2
+    # |S_ii|^2 overshoots 1 by rounding for nearly orthogonal ensembles
+    per_state = np.clip(np.abs(np.diag(s)) ** 2, 0.0, 1.0)
     error = 1.0 - float(per_state.mean())
     return DetectionReport(
         error_probability=min(max(error, 0.0), 1.0),

@@ -1,33 +1,17 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, written in numpy.
 
-Every kernel exists twice: a loop implementation compiled with numba's
-``@njit`` and a pure-numpy implementation. The active backend is picked at
-import time; set the environment variable ``Y00SIM_NO_NUMBA=1`` to force the
-numpy path (it is also used automatically when numba is unavailable). Both
-backends produce bit-identical outputs: all floating-point work is
-elementwise with the same evaluation order, and reductions are integer
-counts. ``python -m y00sim.bench`` times one against the other.
+``lfsr_fill`` expands the Galois LFSR keystream by block jumps;
+``_lfsr_fill_py`` is the bit-by-bit recurrence it must reproduce, kept as
+the reference the tests compare against. The other kernels are the Monte
+Carlo steps of the scenario runner. ``python -m y00sim.bench`` times them.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-_FORCED_OFF = os.environ.get("Y00SIM_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
-NUMBA_ENABLED = numba is not None and not _FORCED_OFF
-
-
-# ---------------------------------------------------------------------------
-# Galois LFSR keystream
-# ---------------------------------------------------------------------------
 
 def _lfsr_fill_py(state, mask, out):
     # right-shift Galois form; output bit is the bit shifted out
@@ -42,23 +26,83 @@ def _lfsr_fill_py(state, mask, out):
     return np.uint64(s)
 
 
-def _lfsr_fill_loops(state, mask, out):
-    s = state
-    one = np.uint64(1)
-    for i in range(out.shape[0]):
-        lsb = s & one
-        s >>= one
-        if lsb:
-            s ^= mask
-        out[i] = lsb
-    return s
+_BLOCK = 64           # output bits per register state in lfsr_fill
+_JUMP_LEVELS = 32     # jumps A^(64 * 2^k) for k < 32: fills of up to 2^38 bits
+_OUT_STATES = 1024    # states expanded to output bits at a time (512 KiB scratch)
 
 
-# ---------------------------------------------------------------------------
-# Per-symbol measurement sampling for the square-root-measurement receiver
-# ---------------------------------------------------------------------------
+def _byte_tables(columns: np.ndarray) -> np.ndarray:
+    """Lookup tables applying the GF(2) matrix with these columns (column i
+    is the image of bit i) one state byte at a time."""
+    n_bytes = columns.size // 8
+    tables = np.zeros((n_bytes, 256), dtype=np.uint64)
+    by_byte = columns.reshape(n_bytes, 8)
+    for t in range(8):
+        tables[:, 1 << t:2 << t] = tables[:, :1 << t] ^ by_byte[:, t:t + 1]
+    return tables
 
-def _srm_sample_np(cdf, level_idx, u, out):
+
+def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
+    out = tables[0][states & 0xFF]
+    for b in range(1, tables.shape[0]):
+        out ^= tables[b][(states >> np.uint64(8 * b)) & 0xFF]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _lfsr_tables(mask: int, n_bytes: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(rows, jumps) of the register step A: s -> (s >> 1) ^ (mask if s & 1)
+    on states of ``n_bytes`` bytes, a linear map on GF(2)^(8 n_bytes).
+
+    Output bit j from state s is bit 0 of A^j s, the parity of s & rows[j];
+    jumps[k] holds the byte tables of A^(64 * 2^k).
+    """
+    width = 8 * n_bytes
+    columns = np.uint64(1) << np.arange(width, dtype=np.uint64)  # A^j e_i, j = 0
+    weights = columns.copy()
+    rows = np.empty(_BLOCK, dtype=np.uint64)
+    for j in range(_BLOCK):
+        rows[j] = np.bitwise_or.reduce(np.where(columns & 1, weights, 0))
+        columns = (columns >> np.uint64(1)) ^ np.where(columns & 1, np.uint64(mask), 0)
+    jumps = [_byte_tables(columns)]
+    unit_bytes = np.uint64(1) << np.arange(8, dtype=np.uint64)
+    for _ in range(1, _JUMP_LEVELS):
+        # the columns of a matrix are its tables at the one-bit bytes
+        columns = jumps[-1][:, unit_bytes].ravel()
+        jumps.append(_byte_tables(_apply(jumps[-1], columns)))
+    for table in (rows, *jumps):
+        table.flags.writeable = False  # shared by every caller through the cache
+    return rows, tuple(jumps)
+
+
+def lfsr_fill(state, mask, out):
+    """Fill ``out`` (uint8) with the next output bits of the right-shift
+    Galois LFSR starting at ``state``; return the state after them.
+
+    Bit-identical to ``_lfsr_fill_py``. The step is linear over GF(2), so
+    the states at stride 64 follow from the start by doubling with the jump
+    matrices A^(64 * 2^k), and each state's 64 output bits are parities
+    against fixed masks (Haramoto et al., "Efficient jump ahead for
+    F2-linear random number generators", INFORMS J. Computing 20(3), 2008).
+    """
+    s, m = int(state), int(mask)
+    # a register of this width never sets a higher bit
+    rows, jumps = _lfsr_tables(m, max(1, (max(s.bit_length(), m.bit_length()) + 7) // 8))
+    blocks = out.shape[0] // _BLOCK
+    states = np.array([s], dtype=np.uint64)
+    for k in range(blocks.bit_length()):
+        # states[i + 2^k] = A^(64 * 2^k) states[i]
+        fresh = _apply(jumps[k], states[:blocks + 1 - states.size])
+        states = np.concatenate([states, fresh])
+    for lo in range(0, blocks, _OUT_STATES):
+        hi = min(lo + _OUT_STATES, blocks)
+        parity = np.bitwise_count(states[lo:hi, None] & rows) & 1
+        out[lo * _BLOCK:hi * _BLOCK] = parity.ravel()
+    return _lfsr_fill_py(states[blocks], m, out[blocks * _BLOCK:])
+
+
+def srm_sample(cdf, level_idx, u, out):
+    """Per-symbol outcomes of the square-root-measurement receiver."""
     # outcome = number of cdf entries strictly below u, i.e. the first j
     # with u <= cdf[level, j]; clip guards u landing past the final entry
     hits = (u[:, None] > cdf[level_idx]).sum(axis=1)
@@ -66,49 +110,18 @@ def _srm_sample_np(cdf, level_idx, u, out):
     return out
 
 
-def _srm_sample_loops(cdf, level_idx, u, out):
-    n_out = cdf.shape[1]
-    for k in range(level_idx.shape[0]):
-        row = level_idx[k]
-        uk = u[k]
-        j = n_out - 1
-        for c in range(n_out):
-            if uk <= cdf[row, c]:
-                j = c
-                break
-        out[k] = j
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Bob's thresholded direct-detection decisions
-# ---------------------------------------------------------------------------
-
-def _bob_errors_np(level_idx, basis, polarity, bits, z, mean_i, sigma_i, thr):
+def bob_errors(level_idx, basis, polarity, bits, z, mean_i, sigma_i, thr):
+    """Bit errors of Bob's thresholded direct-detection decisions."""
     current = mean_i[level_idx] + sigma_i[level_idx] * z
     decided_high = current > thr[basis]
     bit_hat = decided_high.astype(np.uint8) ^ polarity
     return int(np.count_nonzero(bit_hat != bits))
 
 
-def _bob_errors_loops(level_idx, basis, polarity, bits, z, mean_i, sigma_i, thr):
-    errors = 0
-    for k in range(level_idx.shape[0]):
-        li = level_idx[k]
-        current = mean_i[li] + sigma_i[li] * z[k]
-        decided_high = np.uint8(1) if current > thr[basis[k]] else np.uint8(0)
-        if (decided_high ^ polarity[k]) != bits[k]:
-            errors += 1
-    return errors
-
-
-# ---------------------------------------------------------------------------
-# Keyed 3-symbol repetition blocks through the noisy link
-# ---------------------------------------------------------------------------
-
-def _coded_errors_np(basis, polarity, code_id, bits, z, mean_i, sigma_i, thr, patterns, m_bases):
+def coded_errors(basis, polarity, code_id, bits, z, mean_i, sigma_i, thr, patterns, m_bases):
+    """Block errors of keyed 3-symbol repetition blocks through the noisy link."""
     tx = patterns[code_id, bits ^ polarity]              # (n, 3) high flags
-    level_idx = basis[:, None] + m_bases * tx
+    level_idx = basis[:, None] + m_bases * tx.astype(np.int64)
     current = mean_i[level_idx] + sigma_i[level_idx] * z
     hard = (current > thr[basis][:, None]).astype(np.uint8)
     matches_one = (hard == patterns[code_id, 1]).sum(axis=1)
@@ -117,75 +130,12 @@ def _coded_errors_np(basis, polarity, code_id, bits, z, mean_i, sigma_i, thr, pa
     return int(np.count_nonzero(decoded != bits))
 
 
-def _coded_errors_loops(basis, polarity, code_id, bits, z, mean_i, sigma_i, thr, patterns, m_bases):
-    errors = 0
-    for k in range(basis.shape[0]):
-        c = code_id[k]
-        side = bits[k] ^ polarity[k]
-        t = thr[basis[k]]
-        matches_one = 0
-        for s in range(3):
-            li = basis[k] + m_bases * patterns[c, side, s]
-            current = mean_i[li] + sigma_i[li] * z[k, s]
-            hard = np.uint8(1) if current > t else np.uint8(0)
-            if hard == patterns[c, 1, s]:
-                matches_one += 1
-        table_side = np.uint8(1) if matches_one >= 2 else np.uint8(0)
-        if (table_side ^ polarity[k]) != bits[k]:
-            errors += 1
-    return errors
-
-
-# ---------------------------------------------------------------------------
-# Majority vote over independent symbol flips (analytic-law cross-check)
-# ---------------------------------------------------------------------------
-
-def _majority_block_errors_np(flips):
+def majority_block_errors(flips):
+    """Majority-vote block errors over independent symbol flips (analytic-law cross-check)."""
     per_block = flips[:, 0].astype(np.int64) + flips[:, 1] + flips[:, 2]
     return int(np.count_nonzero(per_block >= 2))
 
 
-def _majority_block_errors_loops(flips):
-    errors = 0
-    for k in range(flips.shape[0]):
-        if int(flips[k, 0]) + int(flips[k, 1]) + int(flips[k, 2]) >= 2:
-            errors += 1
-    return errors
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-NUMPY_IMPL = {
-    "lfsr_fill": _lfsr_fill_py,
-    "srm_sample": _srm_sample_np,
-    "bob_errors": _bob_errors_np,
-    "coded_errors": _coded_errors_np,
-    "majority_block_errors": _majority_block_errors_np,
-}
-
-if numba is not None:
-    _jit = numba.njit(cache=True, nogil=True)
-    NUMBA_IMPL = {
-        "lfsr_fill": _jit(_lfsr_fill_loops),
-        "srm_sample": _jit(_srm_sample_loops),
-        "bob_errors": _jit(_bob_errors_loops),
-        "coded_errors": _jit(_coded_errors_loops),
-        "majority_block_errors": _jit(_majority_block_errors_loops),
-    }
-else:  # pragma: no cover
-    NUMBA_IMPL = None
-
-_ACTIVE = NUMBA_IMPL if NUMBA_ENABLED else NUMPY_IMPL
-
-lfsr_fill = _ACTIVE["lfsr_fill"]
-srm_sample = _ACTIVE["srm_sample"]
-bob_errors = _ACTIVE["bob_errors"]
-coded_errors = _ACTIVE["coded_errors"]
-majority_block_errors = _ACTIVE["majority_block_errors"]
-
-
 def backend_name() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"

@@ -39,6 +39,7 @@ from .y00_cipher import (
     KeystreamGenerator,
     SeedKey,
     draw_symbol_frames,
+    draw_uniform,
     eve_bit_mixtures,
 )
 
@@ -328,15 +329,7 @@ def _stderr(errors: int, n: int) -> float:
 
 def _draw_code_ids(gen: KeystreamGenerator, count: int) -> np.ndarray:
     """One code id per block, 2 running-key bits per attempt, value 3 rejected."""
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        while True:
-            two = gen.take(2)
-            value = (int(two[0]) << 1) | int(two[1])
-            if value < 3:
-                out[i] = value
-                break
-    return out
+    return draw_uniform(gen, 3, count)[0]
 
 
 def _link_tables(config: ScenarioConfig, spec: ConstellationSpec):
@@ -387,7 +380,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
         u = rng.random(nc)
         basis_c = basis[lo:hi]
         polarity_c = polarity[lo:hi]
-        level_idx = basis_c + m * (bits ^ polarity_c)
+        level_idx = basis_c + m * (bits ^ polarity_c).astype(np.int64)
         bob = int(kernels.bob_errors(level_idx, basis_c, polarity_c, bits, z, mean_i, sigma_i, thresholds))
         outcomes = np.empty(nc, dtype=np.int64)
         kernels.srm_sample(cdf, level_idx, u, outcomes)

@@ -13,7 +13,6 @@ mode.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -91,15 +90,18 @@ class SeedKey:
         return len(self.bits)
 
     def to_int(self) -> int:
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
+        return _bits_to_int(self.bits)
 
     def to_hex(self) -> str:
         if self.n % 4:
             raise ParameterError("hex form needs a bit length divisible by 4")
         return format(self.to_int(), f"0{self.n // 4}X")
+
+
+# Fewest fresh bits a keystream refill generates; bulk draws peek more at once.
+_REFILL_BITS = 4096
+# Draws resolved per peek of the running key; bounds the bits held at once.
+_DRAW_CHUNK = 1 << 14
 
 
 class KeystreamGenerator:
@@ -108,8 +110,9 @@ class KeystreamGenerator:
     Two kinds: "lfsr" (default, a maximal-period Galois register as wide as
     the seed) and "counter_hash" (SHA-256 of seed||counter, for when a
     structure-free stream is preferable). Identical seed and parameters
-    always reproduce the identical stream. Instances are single-owner
-    mutable state; use one per thread.
+    always reproduce the identical stream. Both kinds feed one buffer of
+    generated but unconsumed bits. Instances are single-owner mutable
+    state; use one per thread.
     """
 
     def __init__(self, seed: SeedKey, kind: str = "lfsr", polynomial: Optional[int] = None):
@@ -129,39 +132,50 @@ class KeystreamGenerator:
             if not 0 < polynomial < (1 << self.width):
                 raise ParameterError(f"polynomial 0x{polynomial:X} does not fit width {self.width}")
             self.polynomial = int(polynomial)
-            self._state = seed.to_int()
+            self._state = seed.to_int()  # register state after the buffered bits
             if self._state == 0:
                 raise SeedError("an all-zero seed locks the LFSR; pick any nonzero key")
         else:
             self.polynomial = None
             self._seed_bytes = np.packbits(np.array(seed.bits, dtype=np.uint8)).tobytes()
             self._counter = 0
-            self._buffer = np.empty(0, dtype=np.uint8)
+        self._buffer = np.empty(0, dtype=np.uint8)
+        self._pos = 0
 
-    def take(self, n_bits: int) -> np.ndarray:
-        """Next n_bits of the running key as a uint8 array."""
-        if n_bits < 0:
-            raise ParameterError("cannot take a negative number of bits")
+    def _generate(self, n_bits: int) -> np.ndarray:
+        """At least n_bits fresh bits of the stream."""
         if self.kind == "lfsr":
             out = np.empty(n_bits, dtype=np.uint8)
             self._state = int(
                 kernels.lfsr_fill(np.uint64(self._state), np.uint64(self.polynomial), out)
             )
             return out
-        while self._buffer.size < n_bits:
-            digest = hashlib.sha256(
-                self._seed_bytes + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            block = np.unpackbits(np.frombuffer(digest, dtype=np.uint8))
-            self._buffer = np.concatenate([self._buffer, block])
-        out, self._buffer = self._buffer[:n_bits], self._buffer[n_bits:]
+        first = self._counter
+        self._counter += -(-n_bits // 256)
+        digests = b"".join(
+            hashlib.sha256(self._seed_bytes + c.to_bytes(8, "big")).digest()
+            for c in range(first, self._counter)
+        )
+        return np.unpackbits(np.frombuffer(digests, dtype=np.uint8))
+
+    def peek(self, n_bits: int) -> np.ndarray:
+        """The next n_bits of the running key as a read-only uint8 view,
+        without consuming them."""
+        if n_bits < 0:
+            raise ParameterError("cannot read a negative number of bits")
+        short = n_bits - (self._buffer.size - self._pos)
+        if short > 0:
+            fresh = self._generate(max(short, _REFILL_BITS))
+            self._buffer = np.concatenate([self._buffer[self._pos:], fresh])
+            self._buffer.flags.writeable = False
+            self._pos = 0
+        return self._buffer[self._pos:self._pos + n_bits]
+
+    def take(self, n_bits: int) -> np.ndarray:
+        """Next n_bits of the running key as a uint8 array."""
+        out = self.peek(n_bits).copy()
+        self._pos += n_bits
         return out
-
-
-def keystream_bits(gen: KeystreamGenerator, count: int) -> np.ndarray:
-    """Draw ``count`` running-key bits from the generator."""
-    return gen.take(count)
 
 
 @dataclass(frozen=True)
@@ -276,31 +290,69 @@ def next_symbol_map(
     return candidate, polarity
 
 
+def draw_uniform(
+    gen: KeystreamGenerator, bound: int, count: int, tail_bit: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` keyed draws uniform on [0, bound): (values int64, tail bits uint8).
+
+    Each attempt reads ceil(log2 bound) bits, first bit most significant,
+    and is rejected if >= bound; with ``tail_bit`` one more bit follows each
+    accepted value. Resolved in bulk by an accept mask over peeked bits, a
+    batch takes exactly the bits the attempt-at-a-time loop would.
+    """
+    if bound < 1 or count < 0:
+        raise ParameterError("need bound >= 1 and count >= 0")
+    n_bits = (bound - 1).bit_length()
+    tail = int(tail_bit)
+    values = np.zeros(count, dtype=np.int64)
+    tails = np.zeros(count, dtype=np.uint8)
+    if n_bits + tail == 0:
+        return values, tails
+    # Attempts sit at a fixed stride unless a tail bit follows only the
+    # accepted ones.
+    fixed = tail == 0 or bound == 1 << n_bits
+    done = 0
+    while done < count:
+        want = min(count - done, _DRAW_CHUNK)
+        # bits for `want` draws at the mean acceptance rate, 1/8 to spare
+        span = ((want * n_bits) << n_bits) // bound + want * tail
+        span += span // 8 + n_bits + tail
+        bits = gen.peek(span)
+        n_start = span - n_bits - tail + 1
+        starts = np.arange(0, n_start, n_bits + tail if fixed else 1)
+        v = np.zeros(starts.size, dtype=np.int64)
+        for b in range(n_bits):
+            v = (v << 1) | bits[starts + b]
+        accept = v < bound
+        if not fixed:
+            # Walk the attempts 0, next[0], next[next[0]], ... by pointer
+            # doubling: after k rounds `jump` maps an offset 2^k attempts on.
+            jump = np.append(np.minimum(starts + n_bits + tail * accept, n_start), n_start)
+            path = np.zeros(1, dtype=np.int64)
+            while path[-1] < n_start:
+                path = np.concatenate([path, jump[path]])
+                jump = jump[jump]
+            starts = path[path < n_start]
+            v, accept = v[starts], accept[starts]
+        hits = np.flatnonzero(accept)[:want]
+        got = hits.size
+        values[done:done + got] = v[hits]
+        if tail:
+            tails[done:done + got] = bits[starts[hits] + n_bits]
+        last = hits[-1] if got == want else starts.size - 1
+        gen.take(int(starts[last] + n_bits + tail * accept[last]))
+        done += got
+    return values, tails
+
+
 def draw_symbol_frames(
     gen: KeystreamGenerator, m_bases: int, assignment: BasisAssignment, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized batch of next_symbol_map: (basis int64[count], polarity uint8[count]).
 
-    Power-of-two M takes a fast path (no rejection possible); the generic
-    loop consumes bits in exactly the same order.
+    Consumes the running key exactly as ``count`` calls of next_symbol_map.
     """
-    if count < 0:
-        raise ParameterError("count must be nonnegative")
-    n_bits = (m_bases - 1).bit_length()
-    osk = assignment.mode == "osk"
-    if m_bases & (m_bases - 1) == 0:
-        per = n_bits + (1 if osk else 0)
-        raw = gen.take(per * count).reshape(count, per) if per else np.zeros((count, 0), np.uint8)
-        basis = np.zeros(count, dtype=np.int64)
-        for b in range(n_bits):
-            basis = (basis << 1) | raw[:, b]
-        polarity = raw[:, n_bits].astype(np.uint8) if osk else np.zeros(count, np.uint8)
-        return basis, polarity
-    basis = np.empty(count, dtype=np.int64)
-    polarity = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        basis[i], polarity[i] = next_symbol_map(gen, m_bases, assignment)
-    return basis, polarity
+    return draw_uniform(gen, m_bases, count, tail_bit=assignment.mode == "osk")
 
 
 def alice_encode(

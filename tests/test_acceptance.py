@@ -61,7 +61,7 @@ def simulate_srm_eve_bit_error(m, alpha_max, symbols, seed):
     basis, polarity = draw_symbol_frames(gen, m, BasisAssignment("osk"), symbols)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, symbols, dtype=np.uint8)
-    level_idx = basis + m * (bits ^ polarity)
+    level_idx = basis + m * (bits ^ polarity).astype(np.int64)
     cdf = np.cumsum(srm_confusion(spec.ensemble()), axis=1)
     cdf /= cdf[:, -1:]
     outcomes = np.empty(symbols, dtype=np.int64)

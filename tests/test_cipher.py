@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,7 +16,6 @@ from y00sim.y00_cipher import (
     draw_symbol_frames,
     eve_bit_mixtures,
     key_expansion_session,
-    keystream_bits,
     next_symbol_map,
 )
 
@@ -77,7 +78,7 @@ class TestKeystream:
     def test_counter_hash_deterministic(self):
         a = KeystreamGenerator(SeedKey.from_hex("1234ABCD"), kind="counter_hash")
         b = KeystreamGenerator(SeedKey.from_hex("1234ABCD"), kind="counter_hash")
-        assert np.array_equal(keystream_bits(a, 1000), keystream_bits(b, 1000))
+        assert np.array_equal(a.take(1000), b.take(1000))
 
     def test_counter_hash_roughly_balanced(self):
         gen = KeystreamGenerator(SeedKey.from_hex("1234ABCD"), kind="counter_hash")
@@ -142,6 +143,73 @@ class TestSymbolMap:
             for i in range(200):
                 b, p = next_symbol_map(scalar_gen, m, BasisAssignment("osk"))
                 assert (b, p) == (basis[i], polarity[i])
+
+
+def per_draw_code_ids(gen, count):
+    """The attempt-at-a-time code-id loop: 2 bits per attempt, 3 rejected."""
+    out = []
+    while len(out) < count:
+        two = gen.take(2)
+        value = (int(two[0]) << 1) | int(two[1])
+        if value < 3:
+            out.append(value)
+    return out
+
+
+class TestBufferedKeystream:
+    @pytest.mark.parametrize("kind", ["lfsr", "counter_hash"])
+    def test_take_splits_at_any_point_and_peek_consumes_nothing(self, kind):
+        for a, b in ((0, 5), (1, 63), (255, 2), (4095, 2), (3000, 9000)):
+            split = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"), kind=kind)
+            whole = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"), kind=kind)
+            peeked = split.peek(a + b).copy()
+            left = split.take(a)
+            assert np.array_equal(split.peek(b), peeked[a:])
+            joined = np.concatenate([left, split.take(b)])
+            assert np.array_equal(joined, whole.take(a + b))
+            assert np.array_equal(joined, peeked)
+            assert np.array_equal(split.take(100), whole.take(100))
+
+    def test_counter_hash_matches_digests_across_refills(self):
+        gen = KeystreamGenerator(SeedKey.from_hex("1234ABCD"), kind="counter_hash")
+        sizes = (1, 255, 4096, 3, 5000, 9000)
+        drawn = np.concatenate([gen.take(n) for n in sizes])
+        digests = b"".join(
+            hashlib.sha256(bytes.fromhex("1234ABCD") + c.to_bytes(8, "big")).digest()
+            for c in range(-(-sum(sizes) // 256))
+        )
+        expected = np.unpackbits(np.frombuffer(digests, dtype=np.uint8))[: sum(sizes)]
+        assert np.array_equal(drawn, expected)
+
+    def test_non_maximal_polynomial_matches_recurrence(self):
+        gen = KeystreamGenerator(SeedKey.from_hex("F0000003"), polynomial=3)
+        expected, _ = lfsr_reference(0xF0000003, 3, 5000)
+        assert list(np.concatenate([gen.take(1), gen.take(4999)])) == expected
+
+    @pytest.mark.parametrize("mode", ["osk", "non_overlap"])
+    @pytest.mark.parametrize("m", [1, 3, 5, 15, 16])
+    def test_bulk_frames_leave_the_per_draw_state(self, m, mode):
+        # a 7-bit lead-in misaligns the start; tiny batches peek windows that
+        # can run out of accepted draws, the large one crosses a peek chunk
+        assignment = BasisAssignment(mode)
+        bulk = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
+        scalar = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
+        bulk.take(7)
+        scalar.take(7)
+        batches = [draw_symbol_frames(bulk, m, assignment, k) for k in [1] * 40 + [19_960]]
+        basis, polarity = (np.concatenate(column) for column in zip(*batches))
+        expected = [next_symbol_map(scalar, m, assignment) for _ in range(20_000)]
+        assert [tuple(map(int, bp)) for bp in zip(basis, polarity)] == expected
+        assert np.array_equal(bulk.take(256), scalar.take(256))
+
+    @pytest.mark.parametrize("kind", ["lfsr", "counter_hash"])
+    def test_bulk_code_ids_leave_the_per_draw_state(self, kind):
+        from y00sim.scenario import _draw_code_ids
+
+        bulk = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"), kind=kind)
+        scalar = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"), kind=kind)
+        assert list(_draw_code_ids(bulk, 20_000)) == per_draw_code_ids(scalar, 20_000)
+        assert np.array_equal(bulk.take(256), scalar.take(256))
 
 
 class TestEncodeDecode:
@@ -283,7 +351,7 @@ def test_simulated_srm_eve_is_blind_under_osk(rng):
     n = 20_000
     basis, polarity = draw_symbol_frames(gen, m, BasisAssignment("osk"), n)
     bits = rng.integers(0, 2, n, dtype=np.uint8)
-    level_idx = basis + m * (bits ^ polarity)
+    level_idx = basis + m * (bits ^ polarity).astype(np.int64)
     cdf = np.cumsum(srm_confusion(spec.ensemble()), axis=1)
     cdf /= cdf[:, -1:]
     outcomes = np.empty(n, dtype=np.int64)

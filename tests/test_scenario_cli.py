@@ -267,6 +267,24 @@ class TestCli:
         ) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--set", "M=8"],
+            ["run", "--set", "M=256", "--set", "trials=2000"],
+            ["sweep", "--set", "sweep_variable=M", "--set", "sweep_values=2,4,8,16"],
+        ],
+        ids=["run_M8", "run_M256", "readme_fig2_sweep"],
+    )
+    def test_documented_commands_on_the_default_config(self, tmp_path, args):
+        # M=8 rounds |S_ii|^2 above 1; M=256 puts level indices past uint8
+        config_path = tmp_path / "demo.cfg"
+        config_path.write_text(default_config().to_text())
+        out = tmp_path / "out.txt"
+        argv = [args[0], str(config_path), *args[1:], "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert out.stat().st_size > 0
+
     def test_attacks_report(self, tmp_path, capsys):
         config_path = tmp_path / "scenario.cfg"
         config_path.write_text(small_config(trials=200).to_text())
