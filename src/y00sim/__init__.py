@@ -27,7 +27,6 @@ from .detection import (
     helstrom_mixed_pair,
     helstrom_pure_pair,
     minimax_pair,
-    minimax_srm_bound,
     srm_confusion,
     srm_error,
 )
@@ -50,9 +49,7 @@ from .fiber_link import (
     noise_budget,
 )
 from .overlap_coding import (
-    CodewordTable,
     analytic_block_error,
-    build_codeword_table,
     decode_block,
     encode_block,
 )

@@ -52,7 +52,6 @@ def _workloads(scale: float):
             basis, polarity, code_ids, bits, rng.standard_normal((n_sym, 3)),
             mean_i, sigma_i, thr, patterns, m,
         ),
-        "majority_block_errors": (rng.integers(0, 2, (n_sym, 3)).astype(np.uint8),),
     }
 
 

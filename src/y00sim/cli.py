@@ -42,12 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
     p_run = sub.add_parser("run", help="run one scenario and print its report")
-    add_common(p_run)
-    p_run.add_argument("--workers", type=int, default=1, help="concurrent Monte Carlo chunks")
-
     p_sweep = sub.add_parser("sweep", help="run the configured sweep and emit CSV")
-    add_common(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1, help="concurrent Monte Carlo chunks")
+    for p in (p_run, p_sweep):
+        add_common(p)
+        p.add_argument("--workers", type=int, default=1, help="concurrent Monte Carlo chunks")
 
     p_attacks = sub.add_parser("attacks", help="run the detection/entanglement attack suite")
     add_common(p_attacks)

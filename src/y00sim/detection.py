@@ -59,16 +59,11 @@ class DiscriminationProblem:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Error probability plus how it was obtained.
-
-    ``exact`` is False when the number is only a bound (e.g. an SRM value
-    standing in for an M-ary minimax optimum).
-    """
+    """Error probability plus how it was obtained."""
 
     error_probability: float
     method: str
     per_state_correct: Optional[tuple[float, ...]] = None
-    exact: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.error_probability <= 1.0:
@@ -160,21 +155,6 @@ def minimax_pair(psi0: MultiModeState, psi1: MultiModeState) -> tuple[float, flo
     """
     overlap_sq = abs(inner_product(psi0, psi1)) ** 2
     return 0.5, helstrom_pure_pair(min(overlap_sq, 1.0), 0.5)
-
-
-def minimax_srm_bound(ensemble: StateEnsemble) -> DetectionReport:
-    """Equal-prior SRM error standing in for the M-ary minimax value.
-
-    Beyond the binary pure case no closed-form optimum is available, so the
-    report is flagged as a bound, not an exact game value.
-    """
-    report = srm_error(ensemble)
-    return DetectionReport(
-        error_probability=report.error_probability,
-        method="minimax_srm_bound",
-        per_state_correct=report.per_state_correct,
-        exact=False,
-    )
 
 
 def guess_baseline(n_states: int) -> float:

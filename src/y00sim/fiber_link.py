@@ -162,8 +162,9 @@ def ber_on_off(params: LinkParams, rate_on: float, rate_off: float) -> float:
     return 0.5 * math.erfc(q / math.sqrt(2.0))
 
 
-def level_photon_rate(params: LinkParams, spec: ConstellationSpec, level_index: int) -> float:
-    """Transmitter photon rate of a ladder level (0-based index).
+def level_photon_rate(params: LinkParams, spec: ConstellationSpec, level_index):
+    """Transmitter photon rate of a ladder level (0-based index), or an
+    array of rates for an array of indices.
 
     Levels scale as (alpha_level / alpha_max)^2 of the configured top-level
     rate n_mean; with n_mean = alpha_max^2 B this is just |alpha_level|^2 B.

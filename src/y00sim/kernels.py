@@ -130,12 +130,6 @@ def coded_errors(basis, polarity, code_id, bits, z, mean_i, sigma_i, thr, patter
     return int(np.count_nonzero(decoded != bits))
 
 
-def majority_block_errors(flips):
-    """Majority-vote block errors over independent symbol flips (analytic-law cross-check)."""
-    per_block = flips[:, 0].astype(np.int64) + flips[:, 1] + flips[:, 2]
-    return int(np.count_nonzero(per_block >= 2))
-
-
 def backend_name() -> str:
     """Name of the kernel backend; numpy is the only one."""
     return "numpy"

@@ -8,8 +8,6 @@ running key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
@@ -21,26 +19,6 @@ _PATTERNS = (
     ((LOW, HIGH, LOW), (HIGH, LOW, HIGH)),
     ((HIGH, LOW, LOW), (LOW, HIGH, HIGH)),
 )
-
-
-@dataclass(frozen=True)
-class CodewordTable:
-    """(code_id, bit0 pattern, bit1 pattern) triples; patterns are
-    length-3 tuples over {LOW, HIGH}."""
-
-    codes: tuple[tuple[int, tuple[int, int, int], tuple[int, int, int]], ...]
-
-    def __post_init__(self):
-        for code_id, p0, p1 in self.codes:
-            if len(p0) != 3 or len(p1) != 3:
-                raise ParameterError("codewords are 3 symbols long")
-            if any(a == b for a, b in zip(p0, p1)):
-                raise ParameterError(f"code {code_id}: patterns must be complementary")
-
-
-def build_codeword_table() -> CodewordTable:
-    """The three complementary codeword pairs."""
-    return CodewordTable(tuple((i, p0, p1) for i, (p0, p1) in enumerate(_PATTERNS)))
 
 
 def pattern_array() -> np.ndarray:

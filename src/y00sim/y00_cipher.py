@@ -98,6 +98,23 @@ class SeedKey:
         return format(self.to_int(), f"0{self.n // 4}X")
 
 
+def lfsr_polynomial(width: int, polynomial: Optional[int] = None) -> int:
+    """Feedback mask of a ``width``-bit LFSR: ``polynomial``, or the default
+    maximal-period mask of that width when it is None."""
+    if width > 64:
+        raise ParameterError(f"an LFSR register holds at most 64 bits, got {width}")
+    if polynomial is None:
+        polynomial = LFSR_MASKS.get(width)
+        if polynomial is None:
+            raise ParameterError(
+                f"no default feedback polynomial for width {width}; "
+                f"supported widths: {sorted(LFSR_MASKS)}"
+            )
+    if not 0 < polynomial < (1 << width):
+        raise ParameterError(f"polynomial 0x{polynomial:X} does not fit width {width}")
+    return int(polynomial)
+
+
 # Fewest fresh bits a keystream refill generates; bulk draws peek more at once.
 _REFILL_BITS = 4096
 # Draws resolved per peek of the running key; bounds the bits held at once.
@@ -122,16 +139,7 @@ class KeystreamGenerator:
         self.seed = seed
         self.width = seed.n
         if kind == "lfsr":
-            if polynomial is None:
-                polynomial = LFSR_MASKS.get(self.width)
-                if polynomial is None:
-                    raise ParameterError(
-                        f"no default feedback polynomial for width {self.width}; "
-                        f"supported widths: {sorted(LFSR_MASKS)}"
-                    )
-            if not 0 < polynomial < (1 << self.width):
-                raise ParameterError(f"polynomial 0x{polynomial:X} does not fit width {self.width}")
-            self.polynomial = int(polynomial)
+            self.polynomial = lfsr_polynomial(self.width, polynomial)
             self._state = seed.to_int()  # register state after the buffered bits
             if self._state == 0:
                 raise SeedError("an all-zero seed locks the LFSR; pick any nonzero key")
@@ -188,13 +196,10 @@ class BasisAssignment:
     """
 
     mode: str = "osk"
-    polarity_source: str = "keystream_bit"
 
     def __post_init__(self):
         if self.mode not in ("osk", "non_overlap"):
             raise ParameterError(f"unknown assignment mode {self.mode!r}")
-        if self.polarity_source != "keystream_bit":
-            raise ParameterError("polarity must come from the keystream")
 
 
 @dataclass(eq=False)

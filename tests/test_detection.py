@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from y00sim.detection import (
     helstrom_mixed_pair,
     helstrom_pure_pair,
     minimax_pair,
-    minimax_srm_bound,
     srm_confusion,
     srm_error,
 )
 from y00sim.errors import ParameterError
+from y00sim.scenario import attack_suite, default_config
 from y00sim.y00_cipher import BasisAssignment, ConstellationSpec, eve_bit_mixtures
 
 
@@ -169,10 +170,15 @@ class TestMinimaxPair:
         assert value == pytest.approx(max(grid), abs=1e-6)
 
     def test_srm_bound_flagged_inexact(self):
+        # the attacks report prints the SRM error as the M-ary minimax value,
+        # flagged as a bound rather than an exact game value
         spec = ConstellationSpec.intensity_ladder(4, 2.0)
-        report = minimax_srm_bound(spec.ensemble())
-        assert not report.exact
-        assert report.error_probability == pytest.approx(
+        config = replace(default_config(), m_bases=4, alpha_max=2.0)
+        assert config.constellation().levels == spec.levels
+        report = attack_suite(config)
+        fields = dict(line.split("=", 1) for line in report.to_text().splitlines() if "=" in line)
+        assert fields["srm_minimax_bound_exact"] == "no (upper bound)"
+        assert float(fields["srm_minimax_bound"]) == pytest.approx(
             srm_error(spec.ensemble()).error_probability
         )
 

@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from y00sim.cli import main as cli_main
+from y00sim.detection import srm_error
 from y00sim.errors import ConfigError, ParameterError
 from y00sim.scenario import (
     CsvSeries,
@@ -47,6 +48,24 @@ class TestConfigParsing:
     def test_invalid_field_combination(self):
         with pytest.raises(ConfigError, match="sweep_values"):
             sweep(replace(default_config(), sweep_variable="M", sweep_values=None))
+
+    def test_every_codec_round_trips_through_text(self):
+        config = ScenarioConfig(
+            kind="phase_ladder", m_bases=5, alpha_max=2.5, assignment="non_overlap",
+            seed_key="BEEF", keystream="counter_hash", lfsr_poly=0xB400, g_p=3.0,
+            kappa_r=0.25, n_repeaters=2, n_mean=1.5e12, n_sp=2.0, bandwidth=2e9,
+            delta_f=5e10, thermal_var=1e-14, coding=False, trials=1234, master_rng_seed=7,
+            sweep_variable="alpha_max", sweep_values=(0.5, 1.0 / 3.0),
+        )
+        for f in fields(ScenarioConfig):
+            assert getattr(config, f.name) != f.default, f.name
+        assert "lfsr_poly=B400\n" in config.to_text()
+        assert ScenarioConfig.from_text(config.to_text()) == config
+
+    def test_every_field_has_its_own_key(self):
+        keys = [f.metadata["key"] for f in fields(ScenarioConfig)]
+        assert all(keys)
+        assert len(set(keys)) == len(keys)
 
     def test_zero_seed_key_fails_at_run_time_as_seed_error(self):
         from y00sim.errors import SeedError
@@ -195,8 +214,13 @@ class TestAttackSuite:
         assert report.guessing_error - report.srm_state_error < 0.05
 
     def test_minimax_bound_flagged(self):
-        report = attack_suite(small_config())
-        assert not report.srm_minimax_bound.exact
+        # the SRM error stands in for the M-ary minimax value, flagged as a bound
+        config = small_config()
+        report = attack_suite(config)
+        fields = dict(line.split("=", 1) for line in report.to_text().splitlines() if "=" in line)
+        assert fields["srm_minimax_bound_exact"] == "no (upper bound)"
+        assert float(fields["srm_minimax_bound"]) == report.srm_state_error
+        assert report.srm_state_error == srm_error(config.constellation().ensemble()).error_probability
 
     def test_works_for_phase_constellations(self):
         report = attack_suite(small_config(kind="phase_ladder", alpha_max=1.5))
@@ -236,6 +260,28 @@ class TestCli:
         config_path.write_text("M=nope\n")
         assert cli_main(["run", str(config_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["G_p=nan"], "G_p"),
+            (["B=nan"], "B"),
+            (["I_th_var=inf"], "I_th_var"),
+            (["n_mean=inf"], "n_mean"),
+            (["sweep_values=nan"], "sweep_values"),
+            (["master_rng_seed=-1"], "master_rng_seed"),
+            (["seed_key=ABCDEF1234"], "seed_key"),  # 40 bits: no default polynomial
+            (["seed_key=123456789ABCDEF012", "lfsr_poly=3"], "seed_key"),  # 72-bit LFSR
+        ],
+    )
+    def test_invalid_value_is_a_config_error_naming_the_key(self, tmp_path, capsys, overrides, key):
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(small_config(trials=100).to_text())
+        argv = ["run", str(config_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
     def test_missing_file_is_runtime_error(self, capsys):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 1
