@@ -5,7 +5,6 @@ and a keyed repetition-code layer."""
 from .coherent_algebra import (
     CoherentAmplitude,
     EntangledFraction,
-    GramMatrix,
     LossySharedState,
     MultiModeState,
     QuasiBellState,
@@ -27,7 +26,6 @@ from .detection import (
     helstrom_mixed_pair,
     helstrom_pure_pair,
     minimax_pair,
-    srm_confusion,
     srm_error,
 )
 from .errors import (

@@ -74,11 +74,8 @@ def main(argv=None) -> int:
             report = run_scenario(config, workers=args.workers)
             _write_output(report.to_text(config), args.out)
         elif args.command == "sweep":
-            series = sweep(config, workers=args.workers)
-            if args.out is None:
-                emit_csv(series, sys.stdout)
-            else:
-                emit_csv(series, args.out)
+            out = sys.stdout if args.out is None else args.out
+            emit_csv(sweep(config, workers=args.workers), out)
         elif args.command == "attacks":
             _write_output(attack_suite(config).to_text(), args.out)
         return 0

@@ -97,29 +97,6 @@ class StateEnsemble:
         return np.array([s.modes for s in self.states], dtype=complex)
 
 
-@dataclass(eq=False)
-class GramMatrix:
-    """Hermitian matrix of pairwise overlaps <psi_i|psi_j>."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.entries, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ParameterError("Gram matrix must be square")
-        if np.max(np.abs(g - g.conj().T)) > 1e-12:
-            raise ParameterError("Gram matrix must be Hermitian to 1e-12")
-        if np.max(np.abs(np.diag(g) - 1.0)) > 1e-12:
-            raise ParameterError("Gram matrix must have unit diagonal")
-        if np.linalg.eigvalsh(g).min() < -1e-10:
-            raise ParameterError("Gram matrix must be positive semidefinite")
-        self.entries = g
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def inner_product(a: MultiModeState, b: MultiModeState) -> complex:
     """Overlap <a|b> = prod_m exp(-(|a_m|^2 + |b_m|^2)/2 + conj(a_m) b_m).
 
@@ -133,8 +110,9 @@ def inner_product(a: MultiModeState, b: MultiModeState) -> complex:
     return complex(np.exp(exponent))
 
 
-def gram_matrix(ensemble: StateEnsemble) -> GramMatrix:
-    """Pairwise-overlap matrix of an ensemble.
+def gram_matrix(ensemble: StateEnsemble) -> np.ndarray:
+    """Pairwise-overlap matrix G_ij = <psi_i|psi_j> of an ensemble, Hermitian
+    with unit diagonal by construction (its PSD check is psd_matrix_sqrt's).
 
     The nonzero spectrum of this matrix coincides with that of the Gram
     operator sum_i |psi_i><psi_i| built from the same (unweighted) kets.
@@ -145,7 +123,7 @@ def gram_matrix(ensemble: StateEnsemble) -> GramMatrix:
     g = np.exp(-(norms[:, None] + norms[None, :]) / 2 + cross)
     g = (g + g.conj().T) / 2
     np.fill_diagonal(g, 1.0)
-    return GramMatrix(g)
+    return g
 
 
 def psd_matrix_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -172,9 +150,9 @@ def orthonormal_embedding(ensemble: StateEnsemble) -> np.ndarray:
 
     Uses the Hermitian eigen square root, so an orthogonal pair embeds as
     standard basis vectors and duplicated states embed as equal columns.
+    This is the one path from an ensemble to its Gram square root.
     """
-    g = gram_matrix(ensemble).entries
-    return psd_matrix_sqrt(g)
+    return psd_matrix_sqrt(gram_matrix(ensemble))
 
 
 def quasi_bell_reduced_eigenvalues(kappa_a: float, kappa_b: float) -> tuple[float, float]:
@@ -363,7 +341,8 @@ class EntangledFraction(NamedTuple):
 def entangled_fraction(state: LossySharedState) -> EntangledFraction:
     """Fully entangled fraction <Psi_2|rho|Psi_2> of a lossy shared state."""
     psi2 = state._psi2_coords
-    fraction = float(np.real(psi2.conj() @ state.matrix @ psi2))
+    # rounding in the embedding can put it just above 1 at eta = 1
+    fraction = min(max(float(np.real(psi2.conj() @ state.matrix @ psi2)), 0.0), 1.0)
     k2 = state.kappa_a**2
     loss = state.printed_loss
     closed = (1.0 - k2) / (1.0 - loss * k2) + (1.0 - loss) * (1.0 - k2) ** 2 / (1.0 - loss * k2)

@@ -16,54 +16,42 @@ import numpy as np
 from .coherent_algebra import (
     MultiModeState,
     StateEnsemble,
-    gram_matrix,
     inner_product,
-    psd_matrix_sqrt,
+    orthonormal_embedding,
 )
 from .errors import ParameterError
 
 
 @dataclass(eq=False)
 class DiscriminationProblem:
-    """An ensemble to discriminate, either state-by-state or as two
-    hypothesis mixtures given by an index partition."""
+    """An ensemble split into two hypothesis mixtures by an index partition."""
 
     ensemble: StateEnsemble
-    hypothesis_0: Optional[tuple[int, ...]] = None
-    hypothesis_1: Optional[tuple[int, ...]] = None
+    hypothesis_0: tuple[int, ...]
+    hypothesis_1: tuple[int, ...]
 
     def __post_init__(self):
-        if (self.hypothesis_0 is None) != (self.hypothesis_1 is None):
-            raise ParameterError("set both hypothesis index sets or neither")
-        if self.hypothesis_0 is not None:
-            self.hypothesis_0 = tuple(self.hypothesis_0)
-            self.hypothesis_1 = tuple(self.hypothesis_1)
-            if not self.hypothesis_0 or not self.hypothesis_1:
-                raise ParameterError("both hypotheses need at least one state")
-            combined = sorted(self.hypothesis_0 + self.hypothesis_1)
-            if combined != list(range(len(self.ensemble))):
-                raise ParameterError("hypotheses must partition the ensemble indices exactly")
-
-    @property
-    def mode(self) -> str:
-        return "pure_ensemble" if self.hypothesis_0 is None else "two_mixtures"
-
-    @classmethod
-    def pure_ensemble(cls, ensemble: StateEnsemble) -> "DiscriminationProblem":
-        return cls(ensemble)
+        self.hypothesis_0 = tuple(self.hypothesis_0)
+        self.hypothesis_1 = tuple(self.hypothesis_1)
+        if not self.hypothesis_0 or not self.hypothesis_1:
+            raise ParameterError("both hypotheses need at least one state")
+        combined = sorted(self.hypothesis_0 + self.hypothesis_1)
+        if combined != list(range(len(self.ensemble))):
+            raise ParameterError("hypotheses must partition the ensemble indices exactly")
 
     @classmethod
     def two_mixtures(cls, ensemble, idx0, idx1) -> "DiscriminationProblem":
         return cls(ensemble, tuple(idx0), tuple(idx1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionReport:
-    """Error probability plus how it was obtained."""
+    """Error probability, with the per-state success probabilities and the
+    outcome distribution when the measurement has them."""
 
     error_probability: float
-    method: str
     per_state_correct: Optional[tuple[float, ...]] = None
+    confusion: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not 0.0 <= self.error_probability <= 1.0:
@@ -91,8 +79,6 @@ def helstrom_mixed_pair(problem: DiscriminationProblem) -> DetectionReport:
     exactly identical kets are merged first (their signed weights add),
     which keeps degenerate problems such as identical mixtures exact.
     """
-    if problem.mode != "two_mixtures":
-        raise ParameterError("helstrom_mixed_pair needs a two_mixtures problem")
     ens = problem.ensemble
     signs = np.zeros(len(ens))
     signs[list(problem.hypothesis_1)] = 1.0
@@ -105,45 +91,38 @@ def helstrom_mixed_pair(problem: DiscriminationProblem) -> DetectionReport:
     if len(states) == 1 or np.all(coeffs == 0.0):
         trace_norm = abs(coeffs.sum())
     else:
-        v = psd_matrix_sqrt(gram_matrix(StateEnsemble.uniform(states)).entries)
+        v = orthonormal_embedding(StateEnsemble.uniform(states))
         delta = (v * coeffs) @ v.conj().T
         trace_norm = float(np.abs(np.linalg.eigvalsh(delta)).sum())
     error = 0.5 * (1.0 - min(trace_norm, 1.0))
-    return DetectionReport(error_probability=max(error, 0.0), method="helstrom_mixed")
+    return DetectionReport(error_probability=max(error, 0.0))
 
 
 def srm_error(ensemble: StateEnsemble) -> DetectionReport:
-    """Square-root-measurement error for an equal-prior ensemble.
+    """Square-root-measurement error and outcome distribution for an
+    equal-prior ensemble.
 
-    With S the Hermitian square root of the Gram matrix, state i is
-    identified with probability (S_ii)^2, so the average error is
-    1 - (1/N) sum_i (S_ii)^2. For two symmetric pure states this equals the
-    Helstrom limit; for N identical states it degrades to pure guessing.
+    With S the Hermitian square root of the Gram matrix, outcome j follows
+    state i with probability |S_ji|^2, so state i is identified with
+    probability |S_ii|^2 and the average error is 1 - (1/N) sum_i |S_ii|^2.
+    For two symmetric pure states this equals the Helstrom limit; for N
+    identical states it degrades to pure guessing. ``confusion`` holds
+    P[i, j] = |S_ji|^2 with rows renormalized to sum to exactly 1, which
+    absorbs the rounding lost with near-singular Gram matrices.
     """
     n = len(ensemble)
     if np.max(np.abs(ensemble.priors - 1.0 / n)) > 1e-12:
         raise ParameterError("the square-root measurement here is defined for uniform priors")
-    s = psd_matrix_sqrt(gram_matrix(ensemble).entries)
+    s = orthonormal_embedding(ensemble)
     # |S_ii|^2 overshoots 1 by rounding for nearly orthogonal ensembles
     per_state = np.clip(np.abs(np.diag(s)) ** 2, 0.0, 1.0)
     error = 1.0 - float(per_state.mean())
+    p = np.abs(s.T) ** 2
     return DetectionReport(
         error_probability=min(max(error, 0.0), 1.0),
-        method="srm",
         per_state_correct=tuple(float(c) for c in per_state),
+        confusion=p / p.sum(axis=1, keepdims=True),
     )
-
-
-def srm_confusion(ensemble: StateEnsemble) -> np.ndarray:
-    """Outcome distribution of the square-root measurement.
-
-    Returns P with P[i, j] = probability of outcome j when state i was
-    sent, i.e. |S_ji|^2. Rows are renormalized to sum to exactly 1 to
-    absorb the rounding lost with near-singular Gram matrices.
-    """
-    s = psd_matrix_sqrt(gram_matrix(ensemble).entries)
-    p = np.abs(s.T) ** 2
-    return p / p.sum(axis=1, keepdims=True)
 
 
 def minimax_pair(psi0: MultiModeState, psi1: MultiModeState) -> tuple[float, float]:

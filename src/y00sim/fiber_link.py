@@ -25,6 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .coherent_algebra import inner_product
 from .detection import helstrom_pure_pair
 from .errors import ParameterError
 from .y00_cipher import ConstellationSpec
@@ -77,7 +80,8 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """The five photocurrent-variance terms (A^2) and their weighted total."""
+    """The five photocurrent-variance terms (A^2) and their weighted total;
+    the rate-dependent ones are arrays when the rates were."""
 
     th: float
     sig: float
@@ -88,13 +92,14 @@ class NoiseBudget:
 
     def __post_init__(self):
         for name in ("th", "sig", "sp", "sig_sp", "sp_sp"):
-            if getattr(self, name) < 0:
+            if np.any(getattr(self, name) < 0):
                 raise ParameterError(f"variance term {name} is negative")
 
 
-def noise_budget(params: LinkParams, level_photon_rate: float) -> NoiseBudget:
-    """Evaluate all variance terms at a given received photon rate."""
-    if level_photon_rate < 0:
+def noise_budget(params: LinkParams, level_photon_rate) -> NoiseBudget:
+    """Evaluate all variance terms at a photon rate, or at each of an
+    array of rates."""
+    if np.any(level_photon_rate < 0):
         raise ParameterError(f"photon rate must be >= 0, got {level_photon_rate}")
     e2 = ELECTRON_CHARGE * ELECTRON_CHARGE
     gain = params.repeater_gain
@@ -118,8 +123,9 @@ def noise_budget(params: LinkParams, level_photon_rate: float) -> NoiseBudget:
     )
 
 
-def mean_photocurrent(params: LinkParams, photon_rate: float) -> float:
-    """Mean detected current e G_p kappa_r <n> (responsivity folded in)."""
+def mean_photocurrent(params: LinkParams, photon_rate):
+    """Mean detected current e G_p kappa_r <n> (responsivity folded in), per
+    rate when given an array."""
     return ELECTRON_CHARGE * params.g_p * params.kappa_r * photon_rate
 
 
@@ -182,8 +188,6 @@ def bob_practical_vs_optimal(
     rate_on = level_photon_rate(params, spec, spec.m_bases)
     practical = ber_on_off(params, rate_on, rate_off)
     low, high = spec.basis_pair(0)
-    from .coherent_algebra import inner_product
-
     overlap_sq = min(abs(inner_product(low, high)) ** 2, 1.0)
     optimal = helstrom_pure_pair(overlap_sq, 0.5)
     if practical < optimal - 1e-12:

@@ -11,7 +11,6 @@ index order, so the report bytes depend only on the configuration.
 from __future__ import annotations
 
 import concurrent.futures
-import io
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -25,7 +24,6 @@ from .detection import (
     guess_baseline,
     helstrom_mixed_pair,
     minimax_pair,
-    srm_confusion,
     srm_error,
 )
 from .errors import ConfigError, ParameterError
@@ -304,12 +302,8 @@ def _chunk_rng(master_seed: int, stream: int, chunk: int) -> np.random.Generator
 
 
 def _chunk_bounds(total: int):
-    for c in range(0, max(total + CHUNK_SIZE - 1, 1) // CHUNK_SIZE):
-        lo = c * CHUNK_SIZE
-        hi = min(lo + CHUNK_SIZE, total)
-        if lo >= hi:
-            break
-        yield c, lo, hi
+    for c, lo in enumerate(range(0, total, CHUNK_SIZE)):
+        yield c, lo, min(lo + CHUNK_SIZE, total)
 
 
 def _stderr(errors: int, n: int) -> float:
@@ -327,8 +321,8 @@ def _link_tables(config: ScenarioConfig, spec: ConstellationSpec):
     params = config.link_params()
     m = spec.m_bases
     rates = level_photon_rate(params, spec, np.arange(2 * m))
-    mean_i = np.array([mean_photocurrent(params, r) for r in rates])
-    sigma_i = np.array([math.sqrt(noise_budget(params, r).total_on) for r in rates])
+    mean_i = mean_photocurrent(params, rates)
+    sigma_i = np.sqrt(noise_budget(params, rates).total_on)
     thresholds = np.empty(m)
     basis_ber = np.empty(m)
     for j in range(m):
@@ -352,8 +346,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
     bob_ber_analytic = float(basis_ber.mean())
     eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment))
     srm_report = srm_error(spec.ensemble())
-    confusion = srm_confusion(spec.ensemble())
-    cdf = np.cumsum(confusion, axis=1)
+    cdf = np.cumsum(srm_report.confusion, axis=1)
     cdf /= cdf[:, -1:]
 
     gen = config.keystream_generator()
@@ -496,7 +489,7 @@ def emit_csv(series: CsvSeries, destination) -> None:
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    elif isinstance(destination, io.TextIOBase) or hasattr(destination, "write"):
+    elif hasattr(destination, "write"):
         destination.write(text)
     else:
         raise ParameterError(f"cannot write CSV to {destination!r}")

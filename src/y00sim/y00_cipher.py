@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import kernels
-from .coherent_algebra import MultiModeState, StateEnsemble
+from .coherent_algebra import MultiModeState, StateEnsemble, phase_constellation
 from .detection import DiscriminationProblem
 from .errors import ParameterError, SeedError
 
@@ -202,6 +202,19 @@ class BasisAssignment:
             raise ParameterError(f"unknown assignment mode {self.mode!r}")
 
 
+# Highest peak amplitude. At |alpha|^2 = 1e16 rounding in the Gram exponents
+# already reaches order 1; the phase-ladder Gram overflows from 1e10, and at
+# 1e200 the eigensolve fails to converge.
+_ALPHA_MAX_CEILING = 1e8
+
+
+def _check_alpha_max(alpha_max: float) -> None:
+    if not 0 < alpha_max <= _ALPHA_MAX_CEILING:
+        raise ParameterError(
+            f"alpha_max: must lie in (0, {_ALPHA_MAX_CEILING:g}], got {alpha_max}"
+        )
+
+
 @dataclass(eq=False)
 class ConstellationSpec:
     """The 2M-level signal set and its pairing into M bases."""
@@ -226,8 +239,7 @@ class ConstellationSpec:
     @classmethod
     def intensity_ladder(cls, m_bases: int, alpha_max: float) -> "ConstellationSpec":
         """Levels alpha_i = alpha_max * i / (2M), i = 1 .. 2M."""
-        if alpha_max <= 0:
-            raise ParameterError(f"alpha_max must be positive, got {alpha_max}")
+        _check_alpha_max(alpha_max)
         if m_bases < 1:
             raise ParameterError("need at least one basis")
         levels = tuple(
@@ -237,8 +249,7 @@ class ConstellationSpec:
 
     @classmethod
     def phase_ladder(cls, m_bases: int, alpha: float) -> "ConstellationSpec":
-        from .coherent_algebra import phase_constellation
-
+        _check_alpha_max(alpha)
         ensemble = phase_constellation(alpha, m_bases)
         return cls("phase_ladder", m_bases, float(alpha), ensemble.states)
 

@@ -23,7 +23,6 @@ from y00sim.detection import (
     DiscriminationProblem,
     helstrom_mixed_pair,
     helstrom_pure_pair,
-    srm_confusion,
     srm_error,
 )
 from y00sim.fiber_link import LinkParams, bob_practical_vs_optimal, noise_budget
@@ -62,7 +61,7 @@ def simulate_srm_eve_bit_error(m, alpha_max, symbols, seed):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, symbols, dtype=np.uint8)
     level_idx = basis + m * (bits ^ polarity).astype(np.int64)
-    cdf = np.cumsum(srm_confusion(spec.ensemble()), axis=1)
+    cdf = np.cumsum(srm_error(spec.ensemble()).confusion, axis=1)
     cdf /= cdf[:, -1:]
     outcomes = np.empty(symbols, dtype=np.int64)
     kernels.srm_sample(cdf, level_idx, rng.random(symbols), outcomes)

@@ -342,7 +342,7 @@ class TestConstellationSpec:
 def test_simulated_srm_eve_is_blind_under_osk(rng):
     # a per-symbol SRM attacker who knows the ladder but not the key reads
     # the level yet gains nothing about the bit
-    from y00sim.detection import srm_confusion
+    from y00sim.detection import srm_error
     from y00sim import kernels
 
     m = 4
@@ -352,7 +352,7 @@ def test_simulated_srm_eve_is_blind_under_osk(rng):
     basis, polarity = draw_symbol_frames(gen, m, BasisAssignment("osk"), n)
     bits = rng.integers(0, 2, n, dtype=np.uint8)
     level_idx = basis + m * (bits ^ polarity).astype(np.int64)
-    cdf = np.cumsum(srm_confusion(spec.ensemble()), axis=1)
+    cdf = np.cumsum(srm_error(spec.ensemble()).confusion, axis=1)
     cdf /= cdf[:, -1:]
     outcomes = np.empty(n, dtype=np.int64)
     kernels.srm_sample(cdf, level_idx, rng.random(n), outcomes)

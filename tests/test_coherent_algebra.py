@@ -17,7 +17,7 @@ from y00sim.coherent_algebra import (
     psd_matrix_sqrt,
     quasi_bell_reduced_eigenvalues,
 )
-from y00sim.errors import DimensionError, ParameterError
+from y00sim.errors import DimensionError, IllConditionedEnsembleError, ParameterError
 
 from conftest import fock_overlap
 
@@ -64,26 +64,40 @@ class TestGramMatrix:
     def test_far_separated_states_give_identity(self):
         # overlaps underflow to exactly zero at 100-amplitude separation
         ens = StateEnsemble.uniform([single(0.0), single(100.0), single(-100.0)])
-        assert np.array_equal(gram_matrix(ens).entries, np.eye(3))
+        assert np.array_equal(gram_matrix(ens), np.eye(3))
 
     def test_duplicate_state_is_rank_deficient(self):
         ens = StateEnsemble.uniform([single(0.5), single(0.5)])
-        eigs = np.linalg.eigvalsh(gram_matrix(ens).entries)
+        eigs = np.linalg.eigvalsh(gram_matrix(ens))
         assert abs(eigs[0]) < 1e-12
 
     def test_ladder_is_psd(self):
         levels = [single(2.0 * i / 12) for i in range(1, 13)]
-        eigs = np.linalg.eigvalsh(gram_matrix(StateEnsemble.uniform(levels)).entries)
+        eigs = np.linalg.eigvalsh(gram_matrix(StateEnsemble.uniform(levels)))
         assert eigs.min() > -1e-10
 
     def test_matrix_and_operator_share_nonzero_spectrum(self):
         ens = StateEnsemble.uniform([single(0.2), single(0.9), single(-0.4)])
-        g = gram_matrix(ens).entries
+        g = gram_matrix(ens)
         v = orthonormal_embedding(ens)
         operator = v @ v.conj().T  # sum_i |psi_i><psi_i| in the embedding
         w_matrix = np.sort(np.linalg.eigvalsh(g))
         w_operator = np.sort(np.linalg.eigvalsh(operator))
         assert np.allclose(w_matrix, w_operator, atol=1e-10)
+
+
+class TestPsdMatrixSqrt:
+    ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+    def test_rejects_eigenvalue_below_tolerance(self):
+        h = self.ROTATION @ np.diag([1.0, -2e-8]) @ self.ROTATION.T
+        with pytest.raises(IllConditionedEnsembleError):
+            psd_matrix_sqrt(h)
+
+    def test_rounding_level_negative_eigenvalue_is_zeroed(self):
+        h = self.ROTATION @ np.diag([4.0, -5e-9]) @ self.ROTATION.T
+        s = psd_matrix_sqrt(h)
+        assert np.allclose(s, self.ROTATION @ np.diag([2.0, 0.0]) @ self.ROTATION.T, atol=1e-12)
 
 
 class TestOrthonormalEmbedding:
@@ -100,7 +114,7 @@ class TestOrthonormalEmbedding:
         states = [single(complex(*rng.normal(size=2))) for _ in range(6)]
         ens = StateEnsemble.uniform(states)
         v = orthonormal_embedding(ens)
-        g = gram_matrix(ens).entries
+        g = gram_matrix(ens)
         assert np.max(np.abs(v.conj().T @ v - g)) < 1e-10
 
 

@@ -11,7 +11,6 @@ from y00sim.detection import (
     helstrom_mixed_pair,
     helstrom_pure_pair,
     minimax_pair,
-    srm_confusion,
     srm_error,
 )
 from y00sim.errors import ParameterError
@@ -144,10 +143,10 @@ class TestSrmError:
 
     def test_confusion_rows_normalized(self):
         spec = ConstellationSpec.intensity_ladder(4, 6.0)
-        confusion = srm_confusion(spec.ensemble())
+        report = srm_error(spec.ensemble())
+        confusion = report.confusion
         assert np.allclose(confusion.sum(axis=1), 1.0, atol=1e-12)
         # diagonal recovers the per-state success probabilities
-        report = srm_error(spec.ensemble())
         assert np.allclose(np.diag(confusion), report.per_state_correct, atol=1e-10)
 
 

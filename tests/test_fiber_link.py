@@ -104,6 +104,19 @@ class TestNoiseBudget:
     def test_negative_rate_rejected(self):
         with pytest.raises(ParameterError):
             noise_budget(LinkParams(), -1.0)
+        with pytest.raises(ParameterError):
+            noise_budget(LinkParams(), np.array([1.0, -1.0]))
+
+    def test_array_of_rates_matches_scalar_calls_exactly(self, rng):
+        params = LinkParams(g_p=100.0, kappa_r=0.5, n_repeaters=10, n_sp=1.5, thermal_var=1e-13)
+        rates = 10 ** rng.uniform(6, 14, size=32)
+        budget = noise_budget(params, rates)
+        for name in ("sig", "sig_sp", "total_on"):
+            expected = [getattr(noise_budget(params, float(r)), name) for r in rates]
+            assert np.array_equal(getattr(budget, name), expected)
+        assert np.array_equal(
+            mean_photocurrent(params, rates), [mean_photocurrent(params, float(r)) for r in rates]
+        )
 
     def test_repeater_gain_inverts_transparency(self):
         params = LinkParams(kappa_r=0.25)

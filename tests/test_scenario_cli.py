@@ -129,6 +129,27 @@ class TestRunScenario:
         )
 
 
+def count_eigensolves(monkeypatch, n: int) -> list:
+    """Record every np.linalg.eigh/eigvalsh call on an n x n matrix."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == (n, n):
+                calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", [run_scenario, attack_suite])
+def test_one_gram_eigensolve_per_command(monkeypatch, command):
+    config = default_config()
+    calls = count_eigensolves(monkeypatch, 2 * config.m_bases)
+    command(config)
+    assert calls == ["eigh"]
+
+
 class TestSweep:
     def test_state_error_grows_with_bases(self):
         config = small_config(
@@ -222,6 +243,12 @@ class TestAttackSuite:
         assert float(fields["srm_minimax_bound"]) == report.srm_state_error
         assert report.srm_state_error == srm_error(config.constellation().ensemble()).error_probability
 
+    def test_entangled_fraction_stays_in_unit_interval(self):
+        # the embedding put the eta=1 fraction at 1 + 4e-16 on this ladder
+        report = attack_suite(replace(default_config(), m_bases=205, alpha_max=292.588))
+        assert report.fraction_rows[0][:2] == (1.0, 1.0)
+        assert all(0.0 <= fraction <= 1.0 for _, fraction, _ in report.fraction_rows)
+
     def test_works_for_phase_constellations(self):
         report = attack_suite(small_config(kind="phase_ladder", alpha_max=1.5))
         assert 0.0 <= report.srm_state_error <= report.guessing_error
@@ -282,6 +309,30 @@ class TestCli:
             argv += ["--set", item]
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize(
+        "command, kind, alpha_max, code",
+        [
+            ("run", "intensity_ladder", "1e10", 2),
+            ("run", "intensity_ladder", "1e200", 2),
+            ("attacks", "intensity_ladder", "1e10", 2),
+            ("attacks", "intensity_ladder", "1e200", 2),
+            ("attacks", "phase_ladder", "1e10", 2),
+            ("attacks", "phase_ladder", "1e200", 2),
+            ("run", "intensity_ladder", "1e8", 0),
+            ("attacks", "intensity_ladder", "1e8", 0),
+            ("attacks", "phase_ladder", "1e8", 0),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_alpha_max_ceiling(self, tmp_path, capsys, command, kind, alpha_max, code):
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(default_config().to_text())
+        argv = [command, str(config_path), "--set", f"kind={kind}",
+                "--set", f"alpha_max={alpha_max}", "--set", "trials=1000"]
+        assert cli_main(argv) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("config error: alpha_max: ")
 
     def test_missing_file_is_runtime_error(self, capsys):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 1
