@@ -3,7 +3,7 @@
 ``lfsr_fill`` expands the Galois LFSR keystream by block jumps;
 ``_lfsr_fill_py`` is the bit-by-bit recurrence it must reproduce, kept as
 the reference the tests compare against. The other kernels are the Monte
-Carlo steps of the scenario runner. ``python -m y00sim.bench`` times them.
+Carlo steps of the scenario runner.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ def _lfsr_fill_py(state, mask, out):
 
 _BLOCK = 64           # output bits per register state in lfsr_fill
 _JUMP_LEVELS = 32     # jumps A^(64 * 2^k) for k < 32: fills of up to 2^38 bits
-_OUT_STATES = 1024    # states expanded to output bits at a time (512 KiB scratch)
 
 
 def _byte_tables(columns: np.ndarray) -> np.ndarray:
@@ -51,18 +50,18 @@ def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _lfsr_tables(mask: int, n_bytes: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(rows, jumps) of the register step A: s -> (s >> 1) ^ (mask if s & 1)
+    """(words, jumps) of the register step A: s -> (s >> 1) ^ (mask if s & 1)
     on states of ``n_bytes`` bytes, a linear map on GF(2)^(8 n_bytes).
 
-    Output bit j from state s is bit 0 of A^j s, the parity of s & rows[j];
-    jumps[k] holds the byte tables of A^(64 * 2^k).
+    Output bit j from state s is bit 0 of A^j s; words holds the byte tables
+    of the map from s to its 64 output bits, bit j of the word being output
+    bit j. jumps[k] holds the byte tables of A^(64 * 2^k).
     """
     width = 8 * n_bytes
     columns = np.uint64(1) << np.arange(width, dtype=np.uint64)  # A^j e_i, j = 0
-    weights = columns.copy()
-    rows = np.empty(_BLOCK, dtype=np.uint64)
+    word_columns = np.zeros(width, dtype=np.uint64)
     for j in range(_BLOCK):
-        rows[j] = np.bitwise_or.reduce(np.where(columns & 1, weights, 0))
+        word_columns |= (columns & np.uint64(1)) << np.uint64(j)
         columns = (columns >> np.uint64(1)) ^ np.where(columns & 1, np.uint64(mask), 0)
     jumps = [_byte_tables(columns)]
     unit_bytes = np.uint64(1) << np.arange(8, dtype=np.uint64)
@@ -70,9 +69,10 @@ def _lfsr_tables(mask: int, n_bytes: int) -> tuple[np.ndarray, tuple[np.ndarray,
         # the columns of a matrix are its tables at the one-bit bytes
         columns = jumps[-1][:, unit_bytes].ravel()
         jumps.append(_byte_tables(_apply(jumps[-1], columns)))
-    for table in (rows, *jumps):
+    words = _byte_tables(word_columns)
+    for table in (words, *jumps):
         table.flags.writeable = False  # shared by every caller through the cache
-    return rows, tuple(jumps)
+    return words, tuple(jumps)
 
 
 def lfsr_fill(state, mask, out):
@@ -81,33 +81,25 @@ def lfsr_fill(state, mask, out):
 
     Bit-identical to ``_lfsr_fill_py``. The step is linear over GF(2), so
     the states at stride 64 follow from the start by doubling with the jump
-    matrices A^(64 * 2^k), and each state's 64 output bits are parities
-    against fixed masks (Haramoto et al., "Efficient jump ahead for
-    F2-linear random number generators", INFORMS J. Computing 20(3), 2008).
+    matrices A^(64 * 2^k), and each state's 64 output bits are one more
+    linear map, applied by byte tables as a 64-bit word (Haramoto et al.,
+    "Efficient jump ahead for F2-linear random number generators", INFORMS
+    J. Computing 20(3), 2008).
     """
     s, m = int(state), int(mask)
     # a register of this width never sets a higher bit
-    rows, jumps = _lfsr_tables(m, max(1, (max(s.bit_length(), m.bit_length()) + 7) // 8))
+    words, jumps = _lfsr_tables(m, max(1, (max(s.bit_length(), m.bit_length()) + 7) // 8))
     blocks = out.shape[0] // _BLOCK
     states = np.array([s], dtype=np.uint64)
     for k in range(blocks.bit_length()):
         # states[i + 2^k] = A^(64 * 2^k) states[i]
         fresh = _apply(jumps[k], states[:blocks + 1 - states.size])
         states = np.concatenate([states, fresh])
-    for lo in range(0, blocks, _OUT_STATES):
-        hi = min(lo + _OUT_STATES, blocks)
-        parity = np.bitwise_count(states[lo:hi, None] & rows) & 1
-        out[lo * _BLOCK:hi * _BLOCK] = parity.ravel()
+    # little-endian bytes, least significant bit first: output bit j of a
+    # state lands at offset j of its 64
+    packed = _apply(words, states[:blocks]).astype("<u8", copy=False).view(np.uint8)
+    out[:blocks * _BLOCK] = np.unpackbits(packed, bitorder="little")
     return _lfsr_fill_py(states[blocks], m, out[blocks * _BLOCK:])
-
-
-def srm_sample(cdf, level_idx, u, out):
-    """Per-symbol outcomes of the square-root-measurement receiver."""
-    # outcome = number of cdf entries strictly below u, i.e. the first j
-    # with u <= cdf[level, j]; clip guards u landing past the final entry
-    hits = (u[:, None] > cdf[level_idx]).sum(axis=1)
-    np.minimum(hits, cdf.shape[1] - 1, out=out)
-    return out
 
 
 def bob_errors(level_idx, basis, polarity, bits, z, mean_i, sigma_i, thr):

@@ -29,8 +29,6 @@ from .detection import (
 from .errors import ConfigError, ParameterError
 from .fiber_link import (
     LinkParams,
-    ber_on_off,
-    decision_point,
     level_photon_rate,
     mean_photocurrent,
     noise_budget,
@@ -120,7 +118,7 @@ class ScenarioConfig:
     g_p: float = _field("G_p", _FLOAT, 100.0)
     kappa_r: float = _field("kappa_r", _FLOAT, 0.5)
     n_repeaters: int = _field("N", _INT, 10, bound=(">=", 0))
-    n_mean: float = _field("n_mean", _FLOAT, 1e13)
+    n_mean: float = _field("n_mean", _FLOAT, 1e13, bound=(">", 0))
     n_sp: float = _field("n_sp", _FLOAT, 1.5)
     bandwidth: float = _field("B", _FLOAT, 1e9)
     delta_f: float = _field("delta_f", _FLOAT, 1e11)
@@ -148,15 +146,36 @@ class ScenarioConfig:
             raise ConfigError("sweep_values: empty sweep list")
         try:
             self.link_params()
-            self.constellation()
+            spec = self.constellation()
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
+        if spec.kind == "intensity_ladder":
+            self._check_link_budget(spec)
         try:
             seed = SeedKey.from_hex(self.seed_key)
             if self.keystream == "lfsr":
                 lfsr_polynomial(seed.n, self.lfsr_poly)
         except ParameterError as exc:
             raise ConfigError(f"seed_key: {exc}") from exc
+
+    def _check_link_budget(self, spec: ConstellationSpec) -> None:
+        """Every basis's on rate must exceed its off rate, and every level's
+        current and noise and every basis's threshold and BER must be finite,
+        in double precision. The error names the link keys that, each set
+        back to its default alone, make it so (all of them if none does)."""
+        fault = _link_budget_fault(self, spec)
+        if fault is None:
+            return
+        default = ScenarioConfig()
+        culprits = [
+            key for key in _LINK_KEYS
+            if _link_budget_fault(self.with_value(key, getattr(default, _FIELDS[key].name)), spec)
+            is None
+        ]
+        raise ConfigError(
+            f"{', '.join(culprits or _LINK_KEYS)}: the link budget is out of "
+            f"double-precision range ({fault})"
+        )
 
     def constellation(self) -> ConstellationSpec:
         if self.kind == "intensity_ladder":
@@ -235,6 +254,8 @@ class ScenarioConfig:
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
+# the keys link_params() reads: its fields share their names with LinkParams'
+_LINK_KEYS = tuple(key for key, f in _FIELDS.items() if f.name in LinkParams.__dataclass_fields__)
 
 
 def default_config() -> ScenarioConfig:
@@ -317,18 +338,56 @@ def _draw_code_ids(gen: KeystreamGenerator, count: int) -> np.ndarray:
 
 
 def _link_tables(config: ScenarioConfig, spec: ConstellationSpec):
-    """Per-level current means/sigmas and per-basis thresholds and BERs."""
+    """Per-level current means/sigmas and per-basis thresholds and BERs.
+
+    Basis j pairs level j (off) with level j + M (on); its threshold and BER
+    are those of ``decision_point`` and ``ber_on_off``, computed from the
+    level vectors.
+    """
     params = config.link_params()
     m = spec.m_bases
     rates = level_photon_rate(params, spec, np.arange(2 * m))
+    if np.any(rates[m:] <= rates[:m]):
+        raise ParameterError("rate_on must exceed rate_off")
     mean_i = mean_photocurrent(params, rates)
     sigma_i = np.sqrt(noise_budget(params, rates).total_on)
-    thresholds = np.empty(m)
-    basis_ber = np.empty(m)
-    for j in range(m):
-        thresholds[j], *_ = decision_point(params, rates[j + m], rates[j])
-        basis_ber[j] = ber_on_off(params, rates[j + m], rates[j])
+    i_off, i_on = mean_i[:m], mean_i[m:]
+    s_off, denom = sigma_i[:m], sigma_i[:m] + sigma_i[m:]
+    noisy = denom != 0.0
+    denom = np.where(noisy, denom, 1.0)
+    # a noise-free link decides at the midpoint and never errs
+    thresholds = np.where(noisy, i_off + s_off * (i_on - i_off) / denom, (i_on + i_off) / 2.0)
+    q = (i_on - i_off) / denom
+    basis_ber = np.array(
+        [0.5 * math.erfc(x / math.sqrt(2.0)) if ok else 0.0 for x, ok in zip(q, noisy)]
+    )
     return mean_i, sigma_i, thresholds, basis_ber
+
+
+def _link_budget_fault(config: ScenarioConfig, spec: ConstellationSpec) -> Optional[str]:
+    """Why the link tables of ``config`` cannot be computed in floating
+    point, or None."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            tables = _link_tables(config, spec)
+    except (ArithmeticError, ParameterError) as exc:
+        return str(exc) or type(exc).__name__
+    if not all(np.isfinite(table).all() for table in tables):
+        return "a current, noise or threshold is not finite"
+    return None
+
+
+def _eve_cuts(confusion: np.ndarray, m: int) -> np.ndarray:
+    """Per-level cut of Eve's bit guess: from level l she guesses 1 when
+    u > cut[l], for u uniform on [0, 1).
+
+    She guesses 1 when her SRM outcome is an upper-half level. Sampled by
+    inverse CDF, outcome min(#{j: cdf[l, j] < u}, 2M - 1) is >= M exactly when
+    u > cdf[l, M - 1], as each CDF row is nondecreasing; so no per-symbol
+    work grows with M.
+    """
+    c = np.cumsum(confusion, axis=1)
+    return c[:, m - 1] / c[:, -1]
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
@@ -346,8 +405,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
     bob_ber_analytic = float(basis_ber.mean())
     eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment))
     srm_report = srm_error(spec.ensemble())
-    cdf = np.cumsum(srm_report.confusion, axis=1)
-    cdf /= cdf[:, -1:]
+    cut = _eve_cuts(srm_report.confusion, m)
 
     gen = config.keystream_generator()
     n = config.trials
@@ -364,10 +422,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
         polarity_c = polarity[lo:hi]
         level_idx = basis_c + m * (bits ^ polarity_c).astype(np.int64)
         bob = int(kernels.bob_errors(level_idx, basis_c, polarity_c, bits, z, mean_i, sigma_i, thresholds))
-        outcomes = np.empty(nc, dtype=np.int64)
-        kernels.srm_sample(cdf, level_idx, u, outcomes)
-        eve_guess = (outcomes >= m).astype(np.uint8)
-        eve = int(np.count_nonzero(eve_guess != bits))
+        eve = int(np.count_nonzero((u > cut[level_idx]) != bits))
         return c, bob, eve
 
     chunks = list(_chunk_bounds(n))

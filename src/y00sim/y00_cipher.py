@@ -115,8 +115,13 @@ def lfsr_polynomial(width: int, polynomial: Optional[int] = None) -> int:
     return int(polynomial)
 
 
-# Fewest fresh bits a keystream refill generates; bulk draws peek more at once.
-_REFILL_BITS = 4096
+# Fresh bits a keystream refill generates at least: the first refill makes
+# 4096, each later one eight times the last, up to 2^18. A refill has a fixed
+# cost (the LFSR's jump doubling, the buffer join); growing refills spread it
+# over many bits for bulk readers, while a generator read for a few bits
+# makes only a few. Bulk draws peek more at once.
+_FIRST_REFILL_BITS = 4096
+_REFILL_BITS = 1 << 18
 # Draws resolved per peek of the running key; bounds the bits held at once.
 _DRAW_CHUNK = 1 << 14
 
@@ -149,6 +154,7 @@ class KeystreamGenerator:
             self._counter = 0
         self._buffer = np.empty(0, dtype=np.uint8)
         self._pos = 0
+        self._refill = _FIRST_REFILL_BITS
 
     def _generate(self, n_bits: int) -> np.ndarray:
         """At least n_bits fresh bits of the stream."""
@@ -173,7 +179,9 @@ class KeystreamGenerator:
             raise ParameterError("cannot read a negative number of bits")
         short = n_bits - (self._buffer.size - self._pos)
         if short > 0:
-            fresh = self._generate(max(short, _REFILL_BITS))
+            size = max(short, self._refill)
+            fresh = self._generate(size)
+            self._refill = min(8 * size, _REFILL_BITS)
             self._buffer = np.concatenate([self._buffer[self._pos:], fresh])
             self._buffer.flags.writeable = False
             self._pos = 0
@@ -335,10 +343,11 @@ def draw_uniform(
         span += span // 8 + n_bits + tail
         bits = gen.peek(span)
         n_start = span - n_bits - tail + 1
-        starts = np.arange(0, n_start, n_bits + tail if fixed else 1)
+        step = n_bits + tail if fixed else 1
+        starts = np.arange(0, n_start, step)
         v = np.zeros(starts.size, dtype=np.int64)
         for b in range(n_bits):
-            v = (v << 1) | bits[starts + b]
+            v = (v << 1) | bits[b:b + n_start:step]
         accept = v < bound
         if not fixed:
             # Walk the attempts 0, next[0], next[next[0]], ... by pointer

@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from y00sim import kernels
 from y00sim.cli import main as cli_main
 from y00sim.coherent_algebra import (
     MultiModeState,
@@ -38,6 +37,7 @@ from y00sim.y00_cipher import (
 )
 
 from test_fiber_link import random_params, reference_budget
+from test_kernels import srm_outcomes
 
 
 @contextmanager
@@ -63,9 +63,7 @@ def simulate_srm_eve_bit_error(m, alpha_max, symbols, seed):
     level_idx = basis + m * (bits ^ polarity).astype(np.int64)
     cdf = np.cumsum(srm_error(spec.ensemble()).confusion, axis=1)
     cdf /= cdf[:, -1:]
-    outcomes = np.empty(symbols, dtype=np.int64)
-    kernels.srm_sample(cdf, level_idx, rng.random(symbols), outcomes)
-    guesses = (outcomes >= m).astype(np.uint8)
+    guesses = (srm_outcomes(cdf, level_idx, rng.random(symbols)) >= m).astype(np.uint8)
     return np.count_nonzero(guesses != bits) / symbols
 
 

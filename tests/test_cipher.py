@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from y00sim.errors import ParameterError, SeedError
+from y00sim.kernels import _lfsr_fill_py
 from y00sim.y00_cipher import (
     LFSR_MASKS,
     BasisAssignment,
@@ -156,6 +157,26 @@ def per_draw_code_ids(gen, count):
     return out
 
 
+# Uneven takes and peeks over more than three 2^18-bit refills; the peeks
+# look past the buffered bits.
+UNEVEN_READS = (
+    ("take", 5), ("peek", 300_000), ("take", 4091), ("take", (1 << 18) - 3),
+    ("peek", 1), ("take", 1), ("peek", 70_001), ("take", 300_007),
+    ("take", 1), ("peek", (1 << 18) + 17), ("take", 220_191), ("peek", 64),
+)
+UNEVEN_READS_SPAN = 3 * (1 << 18) + 300_000  # bits the reads reach, rounded up
+
+
+def read_unevenly(gen, expected):
+    """Read ``gen`` by UNEVEN_READS; every read must match ``expected``."""
+    pos = 0
+    for op, n in UNEVEN_READS:
+        bits = gen.peek(n) if op == "peek" else gen.take(n)
+        assert np.array_equal(bits, expected[pos:pos + n]), (op, n, pos)
+        pos += n if op == "take" else 0
+    assert pos >= 3 * (1 << 18) + 5
+
+
 class TestBufferedKeystream:
     @pytest.mark.parametrize("kind", ["lfsr", "counter_hash"])
     def test_take_splits_at_any_point_and_peek_consumes_nothing(self, kind):
@@ -180,6 +201,22 @@ class TestBufferedKeystream:
         )
         expected = np.unpackbits(np.frombuffer(digests, dtype=np.uint8))[: sum(sizes)]
         assert np.array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("width", sorted(LFSR_MASKS))
+    def test_lfsr_refills_match_recurrence_at_every_width(self, width):
+        seed = (0x9E3779B97F4A7C15 >> (64 - width)) | 1
+        gen = KeystreamGenerator(SeedKey.from_int(seed, width))
+        expected = np.empty(UNEVEN_READS_SPAN, dtype=np.uint8)
+        _lfsr_fill_py(np.uint64(seed), np.uint64(LFSR_MASKS[width]), expected)
+        read_unevenly(gen, expected)
+
+    def test_counter_hash_refills_match_digests(self):
+        gen = KeystreamGenerator(SeedKey.from_hex("1234ABCD"), kind="counter_hash")
+        digests = b"".join(
+            hashlib.sha256(bytes.fromhex("1234ABCD") + c.to_bytes(8, "big")).digest()
+            for c in range(UNEVEN_READS_SPAN // 256)
+        )
+        read_unevenly(gen, np.unpackbits(np.frombuffer(digests, dtype=np.uint8)))
 
     def test_non_maximal_polynomial_matches_recurrence(self):
         gen = KeystreamGenerator(SeedKey.from_hex("F0000003"), polynomial=3)
@@ -343,7 +380,7 @@ def test_simulated_srm_eve_is_blind_under_osk(rng):
     # a per-symbol SRM attacker who knows the ladder but not the key reads
     # the level yet gains nothing about the bit
     from y00sim.detection import srm_error
-    from y00sim import kernels
+    from test_kernels import srm_outcomes
 
     m = 4
     spec = ConstellationSpec.intensity_ladder(m, 6.0)
@@ -354,8 +391,6 @@ def test_simulated_srm_eve_is_blind_under_osk(rng):
     level_idx = basis + m * (bits ^ polarity).astype(np.int64)
     cdf = np.cumsum(srm_error(spec.ensemble()).confusion, axis=1)
     cdf /= cdf[:, -1:]
-    outcomes = np.empty(n, dtype=np.int64)
-    kernels.srm_sample(cdf, level_idx, rng.random(n), outcomes)
-    guesses = (outcomes >= m).astype(np.uint8)
+    guesses = (srm_outcomes(cdf, level_idx, rng.random(n)) >= m).astype(np.uint8)
     error = np.count_nonzero(guesses != bits) / n
     assert abs(error - 0.5) < 3 * np.sqrt(0.25 / n)

@@ -2,16 +2,52 @@ import numpy as np
 import pytest
 
 from y00sim import kernels
-from y00sim.y00_cipher import LFSR_MASKS
+from y00sim.detection import srm_error
+from y00sim.scenario import _eve_cuts
+from y00sim.y00_cipher import LFSR_MASKS, ConstellationSpec
 
 LENGTHS = (0, 1, 63, 64, 65, 4095, 4096, 4097, 70_001)
 
 
+def srm_outcomes(cdf, level_idx, u, chunk=4096):
+    """Per-symbol SRM outcomes by the full-row inverse-CDF count, the
+    reference for Eve's one-cut decision: the number of entries of the
+    symbol's CDF row below u, clipped to the last outcome for u past the
+    final entry."""
+    out = np.empty(u.size, dtype=np.int64)
+    for lo in range(0, u.size, chunk):
+        rows = slice(lo, lo + chunk)
+        hits = (u[rows, None] > cdf[level_idx[rows]]).sum(axis=1)
+        out[rows] = np.minimum(hits, cdf.shape[1] - 1)
+    return out
+
+
 def test_srm_sample_handles_u_above_last_entry():
     cdf = np.array([[0.5, 1.0 - 1e-16]])
-    out = np.empty(1, dtype=np.int64)
-    kernels.srm_sample(cdf, np.zeros(1, dtype=np.int64), np.array([1.0 - 1e-17]), out)
-    assert out[0] == 1
+    u = np.array([1.0 - 1e-17])
+    assert srm_outcomes(cdf, np.zeros(1, dtype=np.int64), u)[0] == 1
+    assert (u > _eve_cuts(np.array([[0.5, 0.5 - 1e-16]]), 1)[0]).all()
+
+
+@pytest.mark.parametrize("m", [1, 3, 15, 16, 320])
+def test_eve_cut_matches_full_row_srm_outcome(m):
+    rng = np.random.default_rng(m)
+    confusion = srm_error(ConstellationSpec.intensity_ladder(m, 10.0).ensemble()).confusion
+    cdf = np.cumsum(confusion, axis=1)
+    cdf /= cdf[:, -1:]
+    cut = _eve_cuts(confusion, m)
+    n = 200_000
+    level_idx = rng.integers(0, 2 * m, n)
+    u = rng.random(n)
+    # draws on each cut, one ulp either side of it, and past every entry
+    on_cut = cut[level_idx[:4000]]
+    u[:4000] = on_cut
+    u[4000:8000] = np.nextafter(on_cut, 0.0)
+    u[8000:12000] = np.nextafter(on_cut, 1.0)
+    u[12000:13000] = 1.0 - 1e-17
+    expected = srm_outcomes(cdf, level_idx, u) >= m
+    assert np.array_equal(u > cut[level_idx], expected)
+    assert 0 < expected.sum() < n
 
 
 class TestLfsrSemantics:
@@ -56,8 +92,3 @@ def test_lfsr_fill_matches_oracle_for_non_maximal_polynomial(state):
 def test_lfsr_fill_matches_oracle_from_zero_state():
     assert_matches_oracle(0, LFSR_MASKS[32])
 
-
-def test_bench_module_runs_small():
-    from y00sim import bench
-
-    assert bench.main(["--scale", "0.01"]) == 0

@@ -6,9 +6,11 @@ import pytest
 from y00sim.cli import main as cli_main
 from y00sim.detection import srm_error
 from y00sim.errors import ConfigError, ParameterError
+from y00sim.fiber_link import ber_on_off, decision_point, level_photon_rate
 from y00sim.scenario import (
     CsvSeries,
     ScenarioConfig,
+    _link_tables,
     attack_suite,
     default_config,
     emit_csv,
@@ -127,6 +129,31 @@ class TestRunScenario:
             report.eve_bit_error_montecarlo
             >= report.eve_bit_error_analytic - 3 * report.eve_bit_error_stderr
         )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"m_bases": 15},
+        {"m_bases": 320},
+        {"n_repeaters": 0},
+        {"thermal_var": 0.0},
+        # noise variances underflow to 0: midpoint thresholds, BER 0
+        {"g_p": 1.0, "n_repeaters": 0, "thermal_var": 0.0, "n_mean": 1e-300},
+    ],
+)
+def test_link_tables_equal_per_basis_calls(overrides):
+    config = replace(default_config(), **overrides)
+    spec = config.constellation()
+    params = config.link_params()
+    m = spec.m_bases
+    rates = level_photon_rate(params, spec, np.arange(2 * m))
+    _, _, thresholds, basis_ber = _link_tables(config, spec)
+    expected_thresholds = [decision_point(params, rates[j + m], rates[j])[0] for j in range(m)]
+    expected_ber = [ber_on_off(params, rates[j + m], rates[j]) for j in range(m)]
+    assert thresholds.tobytes() == np.array(expected_thresholds).tobytes()
+    assert basis_ber.tobytes() == np.array(expected_ber).tobytes()
 
 
 def count_eigensolves(monkeypatch, n: int) -> list:
@@ -299,8 +326,16 @@ class TestCli:
             (["master_rng_seed=-1"], "master_rng_seed"),
             (["seed_key=ABCDEF1234"], "seed_key"),  # 40 bits: no default polynomial
             (["seed_key=123456789ABCDEF012", "lfsr_poly=3"], "seed_key"),  # 72-bit LFSR
+            (["n_mean=0"], "n_mean"),
+            # the link budget overflows: X^2 in the noise terms, then the
+            # threshold's sigma * (i_on - i_off), then the repeater gain 1/kappa_r
+            (["G_p=1e200"], "G_p"),
+            (["n_sp=1e300"], "n_sp"),
+            (["n_mean=1e300"], "n_mean"),
+            (["kappa_r=1e-320"], "kappa_r"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid_value_is_a_config_error_naming_the_key(self, tmp_path, capsys, overrides, key):
         config_path = tmp_path / "scenario.cfg"
         config_path.write_text(small_config(trials=100).to_text())
