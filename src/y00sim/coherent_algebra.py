@@ -281,13 +281,17 @@ def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:
     """Build the shared two-party state after loss on the transmitted arm.
 
     Requires alpha > 0 and eta in (0, 1]; at eta = 0 the pre-amplified arm
-    alpha/sqrt(eta) diverges and the channel is degenerate.
+    alpha/sqrt(eta) diverges and the channel is degenerate. At an alpha so
+    small that <alpha|-alpha> rounds to 1 the two kets coincide.
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if not 0.0 < eta <= 1.0:
         raise ParameterError(f"eta={eta} must lie in (0, 1]; the channel degenerates at eta=0")
     a = float(alpha)
+    kappa_a = math.exp(-2.0 * a * a)
+    if 1.0 - kappa_a**2 == 0.0:
+        raise ParameterError(f"alpha={alpha} is too small: the overlap <alpha|-alpha> rounds to 1")
     kets = [
         MultiModeState((a, a)),
         MultiModeState((a, -a)),
@@ -298,7 +302,6 @@ def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:
     u_vec = v[:, 1]  # |alpha, -alpha>
     w_vec = v[:, 2]  # |-alpha, alpha>
 
-    kappa_a = math.exp(-2.0 * a * a)
     kappa_b = math.exp(-2.0 * a * a / eta)
     loss_overlap = math.exp(-2.0 * (1.0 - eta) * a * a / eta)
     printed_loss = math.exp(-4.0 * (1.0 - eta) * a * a)

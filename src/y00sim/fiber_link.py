@@ -129,43 +129,44 @@ def mean_photocurrent(params: LinkParams, photon_rate):
     return ELECTRON_CHARGE * params.g_p * params.kappa_r * photon_rate
 
 
-def decision_point(
-    params: LinkParams, rate_on: float, rate_off: float
-) -> tuple[float, float, float, float, float]:
-    """Equal-error threshold between the two Gaussian current distributions.
+def decision_point(params: LinkParams, rate_on, rate_off):
+    """Equal-error threshold between the two Gaussian current distributions,
+    per pair of rates when given arrays (a scalar pair gives scalars).
 
     Returns (threshold, i_on, i_off, sigma_on, sigma_off). With unequal
     variances the threshold sits at i_off + sigma_off (i_on - i_off) /
-    (sigma_on + sigma_off), which makes P(0|1) = P(1|0).
+    (sigma_on + sigma_off), which makes P(0|1) = P(1|0); a noise-free link
+    decides at the midpoint.
     """
-    if rate_on <= rate_off:
+    rates = np.array(np.broadcast_arrays(rate_on, rate_off), dtype=float)
+    if np.any(rates[0] <= rates[1]):
         raise ParameterError("rate_on must exceed rate_off")
-    if rate_off < 0:
+    if np.any(rates[1] < 0):
         raise ParameterError("rates must be nonnegative")
-    i_on = mean_photocurrent(params, rate_on)
-    i_off = mean_photocurrent(params, rate_off)
-    sigma_on = math.sqrt(noise_budget(params, rate_on).total_on)
-    sigma_off = math.sqrt(noise_budget(params, rate_off).total_on)
+    i_on, i_off = mean_photocurrent(params, rates)
+    sigma_on, sigma_off = np.sqrt(noise_budget(params, rates).total_on)
     denom = sigma_on + sigma_off
-    if denom == 0.0:
-        threshold = (i_on + i_off) / 2.0
-    else:
-        threshold = i_off + sigma_off * (i_on - i_off) / denom
-    return threshold, i_on, i_off, sigma_on, sigma_off
+    noisy = denom != 0.0
+    equal_error = i_off + sigma_off * (i_on - i_off) / np.where(noisy, denom, 1.0)
+    threshold = np.where(noisy, equal_error, (i_on + i_off) / 2.0)
+    return threshold[()], i_on[()], i_off[()], sigma_on[()], sigma_off[()]
 
 
-def ber_on_off(params: LinkParams, rate_on: float, rate_off: float) -> float:
-    """Symmetric decision error of the direct-detection receiver.
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def ber_on_off(params: LinkParams, rate_on, rate_off):
+    """Symmetric decision error of the direct-detection receiver, per pair
+    of rates when given arrays (a scalar pair gives a scalar).
 
     Gaussian model with Q = (i_on - i_off) / (sigma_on + sigma_off);
     returns P(0|1) = P(1|0) = Phi(-Q). A noise-free link gives 0.
     """
     _, i_on, i_off, sigma_on, sigma_off = decision_point(params, rate_on, rate_off)
     denom = sigma_on + sigma_off
-    if denom == 0.0:
-        return 0.0
-    q = (i_on - i_off) / denom
-    return 0.5 * math.erfc(q / math.sqrt(2.0))
+    noisy = denom != 0.0
+    q = (i_on - i_off) / np.where(noisy, denom, 1.0)
+    return np.where(noisy, 0.5 * _erfc(q / math.sqrt(2.0)), 0.0)[()]
 
 
 def level_photon_rate(params: LinkParams, spec: ConstellationSpec, level_index):

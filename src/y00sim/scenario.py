@@ -27,12 +27,7 @@ from .detection import (
     srm_error,
 )
 from .errors import ConfigError, ParameterError
-from .fiber_link import (
-    LinkParams,
-    level_photon_rate,
-    mean_photocurrent,
-    noise_budget,
-)
+from .fiber_link import LinkParams, ber_on_off, decision_point, level_photon_rate
 from .overlap_coding import analytic_block_error, pattern_array
 from .y00_cipher import (
     BasisAssignment,
@@ -104,7 +99,8 @@ class ScenarioConfig:
     """One reproducible experiment, serializable as flat key=value text.
 
     Each field's metadata is its whole text contract: key, codec and range.
-    Parsing, emitting, validation and sweep points all read it.
+    Parsing, emitting, validation and sweep points all read it. A config is
+    validated once, when it is built, so every instance is valid.
     """
 
     kind: str = _field("kind", _STR, "intensity_ladder",
@@ -130,6 +126,9 @@ class ScenarioConfig:
                                            choices=("M", "alpha_max", "N", "n_mean"))
     sweep_values: Optional[tuple[float, ...]] = _field("sweep_values", _NONE_OR_FLOATS, None)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         for f in fields(self):
             key, value = f.metadata["key"], getattr(self, f.name)
@@ -145,12 +144,20 @@ class ScenarioConfig:
         if self.sweep_variable is not None and not self.sweep_values:
             raise ConfigError("sweep_values: empty sweep list")
         try:
-            self.link_params()
             spec = self.constellation()
         except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-        if spec.kind == "intensity_ladder":
-            self._check_link_budget(spec)
+            # kind and M have passed their own checks: the peak is at fault
+            raise ConfigError(f"alpha_max: {exc}") from exc
+        values = self._link_values()
+        fault = _link_fault(values, spec)
+        if fault is not None:
+            # name the link keys that, each set back to its default alone,
+            # make the link valid (all of them if none does)
+            culprits = [
+                key for key in _LINK_KEYS
+                if _link_fault({**values, _FIELDS[key].name: _FIELDS[key].default}, spec) is None
+            ]
+            raise ConfigError(f"{', '.join(culprits or _LINK_KEYS)}: {fault}")
         try:
             seed = SeedKey.from_hex(self.seed_key)
             if self.keystream == "lfsr":
@@ -158,41 +165,16 @@ class ScenarioConfig:
         except ParameterError as exc:
             raise ConfigError(f"seed_key: {exc}") from exc
 
-    def _check_link_budget(self, spec: ConstellationSpec) -> None:
-        """Every basis's on rate must exceed its off rate, and every level's
-        current and noise and every basis's threshold and BER must be finite,
-        in double precision. The error names the link keys that, each set
-        back to its default alone, make it so (all of them if none does)."""
-        fault = _link_budget_fault(self, spec)
-        if fault is None:
-            return
-        default = ScenarioConfig()
-        culprits = [
-            key for key in _LINK_KEYS
-            if _link_budget_fault(self.with_value(key, getattr(default, _FIELDS[key].name)), spec)
-            is None
-        ]
-        raise ConfigError(
-            f"{', '.join(culprits or _LINK_KEYS)}: the link budget is out of "
-            f"double-precision range ({fault})"
-        )
-
     def constellation(self) -> ConstellationSpec:
         if self.kind == "intensity_ladder":
             return ConstellationSpec.intensity_ladder(self.m_bases, self.alpha_max)
         return ConstellationSpec.phase_ladder(self.m_bases, self.alpha_max)
 
+    def _link_values(self) -> dict:
+        return {_FIELDS[key].name: getattr(self, _FIELDS[key].name) for key in _LINK_KEYS}
+
     def link_params(self) -> LinkParams:
-        return LinkParams(
-            g_p=self.g_p,
-            kappa_r=self.kappa_r,
-            n_repeaters=self.n_repeaters,
-            n_mean=self.n_mean,
-            n_sp=self.n_sp,
-            bandwidth=self.bandwidth,
-            delta_f=self.delta_f,
-            thermal_var=self.thermal_var,
-        )
+        return LinkParams(**self._link_values())
 
     def keystream_generator(self) -> KeystreamGenerator:
         return KeystreamGenerator(
@@ -200,14 +182,15 @@ class ScenarioConfig:
         )
 
     def with_value(self, key: str, value: float) -> "ScenarioConfig":
-        """A copy with the numeric field ``key`` set to ``value`` (a sweep
-        point); an integer field takes only integral values."""
+        """A sweep point: a copy with the numeric field ``key`` set to
+        ``value`` and no sweep of its own; an integer field takes only
+        integral values."""
         f = _FIELDS[key]
         if f.metadata["codec"] is _INT:
             if value != int(value):
                 raise ConfigError(f"sweep_values: {key} must be an integer, got {value}")
             value = int(value)
-        return replace(self, **{f.name: value})
+        return replace(self, **{f.name: value}, sweep_variable=None, sweep_values=None)
 
     # -- flat key=value serialization ------------------------------------
 
@@ -233,9 +216,7 @@ class ScenarioConfig:
                 values[f.name] = f.metadata["codec"][0](raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
-        config = cls(**values)
-        config.validate()
-        return config
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path, overrides: tuple[str, ...] = ()) -> "ScenarioConfig":
@@ -337,44 +318,38 @@ def _draw_code_ids(gen: KeystreamGenerator, count: int) -> np.ndarray:
     return draw_uniform(gen, 3, count)[0]
 
 
-def _link_tables(config: ScenarioConfig, spec: ConstellationSpec):
+def _link_tables(params: LinkParams, spec: ConstellationSpec):
     """Per-level current means/sigmas and per-basis thresholds and BERs.
-
-    Basis j pairs level j (off) with level j + M (on); its threshold and BER
-    are those of ``decision_point`` and ``ber_on_off``, computed from the
-    level vectors.
-    """
-    params = config.link_params()
+    Basis j pairs level j (off) with level j + M (on)."""
     m = spec.m_bases
     rates = level_photon_rate(params, spec, np.arange(2 * m))
-    if np.any(rates[m:] <= rates[:m]):
-        raise ParameterError("rate_on must exceed rate_off")
-    mean_i = mean_photocurrent(params, rates)
-    sigma_i = np.sqrt(noise_budget(params, rates).total_on)
-    i_off, i_on = mean_i[:m], mean_i[m:]
-    s_off, denom = sigma_i[:m], sigma_i[:m] + sigma_i[m:]
-    noisy = denom != 0.0
-    denom = np.where(noisy, denom, 1.0)
-    # a noise-free link decides at the midpoint and never errs
-    thresholds = np.where(noisy, i_off + s_off * (i_on - i_off) / denom, (i_on + i_off) / 2.0)
-    q = (i_on - i_off) / denom
-    basis_ber = np.array(
-        [0.5 * math.erfc(x / math.sqrt(2.0)) if ok else 0.0 for x, ok in zip(q, noisy)]
-    )
+    thresholds, i_on, i_off, sigma_on, sigma_off = decision_point(params, rates[m:], rates[:m])
+    basis_ber = ber_on_off(params, rates[m:], rates[:m])
+    mean_i, sigma_i = np.concatenate([i_off, i_on]), np.concatenate([sigma_off, sigma_on])
     return mean_i, sigma_i, thresholds, basis_ber
 
 
-def _link_budget_fault(config: ScenarioConfig, spec: ConstellationSpec) -> Optional[str]:
-    """Why the link tables of ``config`` cannot be computed in floating
-    point, or None."""
+def _link_fault(values: dict, spec: ConstellationSpec) -> Optional[str]:
+    """Why the link with ``LinkParams`` fields ``values`` is unusable on
+    ``spec``, or None: a value out of its range or, on an intensity ladder,
+    a level current or noise or a basis threshold or BER that is not finite
+    in double precision."""
+    try:
+        params = LinkParams(**values)
+    except ParameterError as exc:
+        return str(exc)
+    if spec.kind != "intensity_ladder":
+        return None
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            tables = _link_tables(config, spec)
+            tables = _link_tables(params, spec)
     except (ArithmeticError, ParameterError) as exc:
-        return str(exc) or type(exc).__name__
-    if not all(np.isfinite(table).all() for table in tables):
-        return "a current, noise or threshold is not finite"
-    return None
+        fault = str(exc) or type(exc).__name__
+    else:
+        if all(np.isfinite(table).all() for table in tables):
+            return None
+        fault = "a current, noise or threshold is not finite"
+    return f"the link budget is out of double-precision range ({fault})"
 
 
 def _eve_cuts(confusion: np.ndarray, m: int) -> np.ndarray:
@@ -394,13 +369,12 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
     """Run the full pipeline for ``config.trials`` symbols (and as many
     coded blocks when coding is on). Identical configs produce identical
     reports regardless of ``workers``."""
-    config.validate()
     if config.kind != "intensity_ladder":
         raise ConfigError("kind: the Monte Carlo link model requires intensity_ladder")
     spec = config.constellation()
     assignment = BasisAssignment(config.assignment)
     m = spec.m_bases
-    mean_i, sigma_i, thresholds, basis_ber = _link_tables(config, spec)
+    mean_i, sigma_i, thresholds, basis_ber = _link_tables(config.link_params(), spec)
 
     bob_ber_analytic = float(basis_ber.mean())
     eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment))
@@ -517,7 +491,6 @@ class CsvSeries:
 def sweep(config: ScenarioConfig, workers: int = 1) -> CsvSeries:
     """One run_scenario per sweep value, rows ordered by ascending value.
     The columns are the report's float fields; the block ones need coding."""
-    config.validate()
     if config.sweep_variable is None:
         raise ConfigError("sweep_variable: a sweep needs a variable")
     # annotations are strings here (postponed evaluation)
@@ -529,7 +502,6 @@ def sweep(config: ScenarioConfig, workers: int = 1) -> CsvSeries:
     rows = []
     for value in sorted(config.sweep_values):
         point = config.with_value(config.sweep_variable, value)
-        point = replace(point, sweep_variable=None, sweep_values=None)
         report = run_scenario(point, workers=workers)
         rows.append((getattr(point, swept), *(getattr(report, name) for name in columns)))
     return CsvSeries((config.sweep_variable, *columns), tuple(rows))
@@ -592,7 +564,6 @@ class AttackReport:
 def attack_suite(config: ScenarioConfig) -> AttackReport:
     """Worst-pair minimax, 2M-state SRM vs guessing, and the entangled
     fraction surviving a lossy channel for the configured amplitude."""
-    config.validate()
     spec = config.constellation()
     ensemble = spec.ensemble()
 

@@ -219,7 +219,7 @@ _ALPHA_MAX_CEILING = 1e8
 def _check_alpha_max(alpha_max: float) -> None:
     if not 0 < alpha_max <= _ALPHA_MAX_CEILING:
         raise ParameterError(
-            f"alpha_max: must lie in (0, {_ALPHA_MAX_CEILING:g}], got {alpha_max}"
+            f"peak amplitude must lie in (0, {_ALPHA_MAX_CEILING:g}], got {alpha_max}"
         )
 
 

@@ -69,6 +69,10 @@ class TestConfigParsing:
         assert all(keys)
         assert len(set(keys)) == len(keys)
 
+    def test_invalid_config_cannot_be_built(self):
+        with pytest.raises(ConfigError, match="^G_p: "):
+            replace(default_config(), g_p=0.5)
+
     def test_zero_seed_key_fails_at_run_time_as_seed_error(self):
         from y00sim.errors import SeedError
 
@@ -144,15 +148,19 @@ class TestRunScenario:
     ],
 )
 def test_link_tables_equal_per_basis_calls(overrides):
+    # the array calls in _link_tables give the scalar per-basis values bit for bit
     config = replace(default_config(), **overrides)
     spec = config.constellation()
     params = config.link_params()
     m = spec.m_bases
     rates = level_photon_rate(params, spec, np.arange(2 * m))
-    _, _, thresholds, basis_ber = _link_tables(config, spec)
-    expected_thresholds = [decision_point(params, rates[j + m], rates[j])[0] for j in range(m)]
+    mean_i, sigma_i, thresholds, basis_ber = _link_tables(params, spec)
+    per_basis = [decision_point(params, rates[j + m], rates[j]) for j in range(m)]
+    threshold, i_on, i_off, sigma_on, sigma_off = (np.array(column) for column in zip(*per_basis))
+    assert thresholds.tobytes() == threshold.tobytes()
+    assert mean_i.tobytes() == np.concatenate([i_off, i_on]).tobytes()
+    assert sigma_i.tobytes() == np.concatenate([sigma_off, sigma_on]).tobytes()
     expected_ber = [ber_on_off(params, rates[j + m], rates[j]) for j in range(m)]
-    assert thresholds.tobytes() == np.array(expected_thresholds).tobytes()
     assert basis_ber.tobytes() == np.array(expected_ber).tobytes()
 
 
@@ -333,6 +341,16 @@ class TestCli:
             (["n_sp=1e300"], "n_sp"),
             (["n_mean=1e300"], "n_mean"),
             (["kappa_r=1e-320"], "kappa_r"),
+            # link values outside their physical ranges
+            (["G_p=0.5"], "G_p"),
+            (["kappa_r=2"], "kappa_r"),
+            (["kappa_r=0"], "kappa_r"),
+            (["n_sp=0.5"], "n_sp"),
+            (["B=0"], "B"),
+            (["delta_f=-1"], "delta_f"),
+            (["I_th_var=-1"], "I_th_var"),
+            # a subnormal peak collapses the 2M levels
+            (["alpha_max=5e-324"], "alpha_max"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -368,6 +386,38 @@ class TestCli:
         assert cli_main(argv) == code
         if code == 2:
             assert capsys.readouterr().err.startswith("config error: alpha_max: ")
+
+    def test_attacks_link_error_names_the_key(self, tmp_path, capsys):
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(default_config().to_text())
+        argv = ["attacks", str(config_path), "--set", "kind=phase_ladder", "--set", "G_p=0.5"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: G_p: ")
+
+    @pytest.mark.parametrize("alpha_max", ["1e-7", "1e-8", "1e-310"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_attacks_on_a_vanishing_probe_is_a_runtime_error(self, tmp_path, capsys, alpha_max):
+        # the probe's overlap exp(-2 a^2) rounds to 1, so the shared state is undefined
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(default_config().to_text())
+        assert cli_main(["attacks", str(config_path), "--set", f"alpha_max={alpha_max}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too small" in err
+
+    def test_run_validates_the_config_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = ScenarioConfig.validate
+
+        def counted(config):
+            calls.append(config)
+            validate(config)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counted)
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text("")
+        assert cli_main(["run", str(config_path), "--set", "trials=100",
+                         "--out", str(tmp_path / "report.txt")]) == 0
+        assert len(calls) == 1
 
     def test_missing_file_is_runtime_error(self, capsys):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 1
