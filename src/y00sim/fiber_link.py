@@ -157,12 +157,15 @@ _erfc = np.vectorize(math.erfc, otypes=[float])
 
 def ber_on_off(params: LinkParams, rate_on, rate_off):
     """Symmetric decision error of the direct-detection receiver, per pair
-    of rates when given arrays (a scalar pair gives a scalar).
+    of rates when given arrays (a scalar pair gives a scalar)."""
+    return gaussian_ber(*decision_point(params, rate_on, rate_off)[1:])
 
-    Gaussian model with Q = (i_on - i_off) / (sigma_on + sigma_off);
-    returns P(0|1) = P(1|0) = Phi(-Q). A noise-free link gives 0.
-    """
-    _, i_on, i_off, sigma_on, sigma_off = decision_point(params, rate_on, rate_off)
+
+def gaussian_ber(i_on, i_off, sigma_on, sigma_off):
+    """The decision error at ``decision_point``'s threshold, from its
+    currents and sigmas: Gaussian model with Q = (i_on - i_off) /
+    (sigma_on + sigma_off), giving P(0|1) = P(1|0) = Phi(-Q). A noise-free
+    link gives 0."""
     denom = sigma_on + sigma_off
     noisy = denom != 0.0
     q = (i_on - i_off) / np.where(noisy, denom, 1.0)

@@ -2,8 +2,9 @@
 
 ``lfsr_fill`` expands the Galois LFSR keystream by block jumps;
 ``_lfsr_fill_py`` is the bit-by-bit recurrence it must reproduce, kept as
-the reference the tests compare against. The other kernels are the Monte
-Carlo steps of the scenario runner.
+the reference the tests compare against. ``decision_cuts`` turns Bob's
+threshold decision into one cut per level, and the other kernels are the
+Monte Carlo steps of the scenario runner.
 """
 
 from __future__ import annotations
@@ -102,24 +103,86 @@ def lfsr_fill(state, mask, out):
     return _lfsr_fill_py(states[blocks], m, out[blocks * _BLOCK:])
 
 
-def bob_errors(level_idx, basis, polarity, bits, z, mean_i, sigma_i, thr):
-    """Bit errors of Bob's thresholded direct-detection decisions."""
-    current = mean_i[level_idx] + sigma_i[level_idx] * z
-    decided_high = current > thr[basis]
-    bit_hat = decided_high.astype(np.uint8) ^ polarity
-    return int(np.count_nonzero(bit_hat != bits))
+_SIGN = np.uint64(1 << 63)
 
 
-def coded_errors(basis, polarity, code_id, bits, z, mean_i, sigma_i, thr, patterns, m_bases):
-    """Block errors of keyed 3-symbol repetition blocks through the noisy link."""
-    tx = patterns[code_id, bits ^ polarity]              # (n, 3) high flags
-    level_idx = basis[:, None] + m_bases * tx.astype(np.int64)
-    current = mean_i[level_idx] + sigma_i[level_idx] * z
-    hard = (current > thr[basis][:, None]).astype(np.uint8)
-    matches_one = (hard == patterns[code_id, 1]).sum(axis=1)
-    table_side = (matches_one >= 2).astype(np.uint8)
-    decoded = table_side ^ polarity
-    return int(np.count_nonzero(decoded != bits))
+def _keys(x: np.ndarray) -> np.ndarray:
+    """Order-preserving uint64 keys of float64 values: x < y exactly when
+    key(x) < key(y), for non-NaN x and y other than a pair of zeros."""
+    bits = np.asarray(x, dtype=np.float64).view(np.uint64)
+    return np.where(bits & _SIGN, ~bits, bits | _SIGN)
+
+
+def _floats(keys: np.ndarray) -> np.ndarray:
+    return np.where(keys & _SIGN, keys ^ _SIGN, ~keys).view(np.float64)
+
+
+_MAX = np.finfo(np.float64).max
+_KEY_LOW, _KEY_HIGH = _keys(np.array([-_MAX, _MAX]))
+
+
+def decision_cuts(mean_i, sigma_i, thr_level):
+    """Per-level cut of the threshold decision: for every finite z,
+    ``mean_i + sigma_i * z > thr_level`` (numpy float64) holds exactly when
+    ``z > cut``.
+
+    Both roundings are monotone and sigma >= 0, so the decision is
+    nondecreasing in z and flips at most once. The cut is the largest finite
+    z that fails, found by bisection over the order-preserving keys of all
+    finite float64 values. The cut is -inf when every finite z passes and
+    the largest float when none does (as on a noise-free link).
+    """
+    mean, sigma, thr = (np.asarray(a, dtype=np.float64) for a in (mean_i, sigma_i, thr_level))
+
+    def passes(keys):
+        return mean + sigma * _floats(keys) > thr
+
+    with np.errstate(over="ignore"):  # sigma * +-max overflows to +-inf
+        shape = np.broadcast_shapes(mean.shape, sigma.shape, thr.shape)
+        lo, hi = np.full(shape, _KEY_LOW), np.full(shape, _KEY_HIGH)
+        every, none = passes(lo), ~passes(hi)
+        lo = np.where(every | none, hi - np.uint64(1), lo)  # nothing to search
+        # invariant: lo fails and hi passes
+        while True:
+            mid = lo + ((hi - lo) >> np.uint64(1))
+            if (mid == lo).all():
+                break
+            up = passes(mid)
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return np.where(every, -np.inf, np.where(none, _MAX, _floats(lo)))
+
+
+def bob_errors(level_idx, z, cut, high):
+    """Bit errors of Bob's thresholded direct-detection decisions: the
+    symbol sent on ``level_idx`` with noise ``z`` is decided high when
+    z > cut[level], and is in error when that differs from ``high``."""
+    return int(np.count_nonzero((z > cut[level_idx]) != high))
+
+
+def block_tables(cut, patterns):
+    """The (cuts, high flags) table ``coded_errors`` reads: row
+    basis*6 + code*2 + b holds, for a block sent as ``patterns[code, b]``
+    (3 codes x 2 bits x 3 high flags) on that basis, its 3 symbols' cuts
+    and whether each is the basis's high level."""
+    m = cut.size // 2
+    high = np.broadcast_to(patterns.astype(bool), (m, 3, 2, 3)).reshape(6 * m, 3)
+    level_idx = np.repeat(np.arange(m), 6)[:, None] + m * high
+    return cut[level_idx], high
+
+
+def coded_errors(basis, polarity, code_id, bits, z, block_cuts, block_high):
+    """Block errors of keyed 3-symbol repetition blocks through the noisy
+    link: a block is in error when at least 2 of its symbols are.
+
+    Row basis*6 + code*2 + (bit ^ polarity) of ``block_tables`` holds the 3
+    cuts and high flags of the pattern sent; the majority decoder errs
+    exactly when 2 of the 3 hard decisions differ from it.
+    """
+    row = basis * 6 + code_id * 2 + (bits ^ polarity)
+    # np.take gathers whole rows several times faster than fancy indexing
+    wrong = (z > np.take(block_cuts, row, axis=0)) != np.take(block_high, row, axis=0)
+    wrong = wrong.view(np.uint8)
+    return int(np.count_nonzero(wrong[:, 0] + wrong[:, 1] + wrong[:, 2] >= 2))
 
 
 def backend_name() -> str:

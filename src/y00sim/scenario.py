@@ -27,7 +27,7 @@ from .detection import (
     srm_error,
 )
 from .errors import ConfigError, ParameterError
-from .fiber_link import LinkParams, ber_on_off, decision_point, level_photon_rate
+from .fiber_link import LinkParams, decision_point, gaussian_ber, level_photon_rate
 from .overlap_coding import analytic_block_error, pattern_array
 from .y00_cipher import (
     BasisAssignment,
@@ -88,7 +88,8 @@ _NONE_OR_FLOATS = (
 
 def _field(key: str, codec, default, *, choices=None, bound=None):
     """A config field: its text key, its (parse, emit) codec and its own
-    range, as allowed ``choices`` or a ``bound`` such as (">=", 1)."""
+    range, as allowed ``choices`` or a ``bound`` such as (">=", 1), or
+    (">=", 1, 1024) with an inclusive top."""
     return field(
         default=default, metadata={"key": key, "codec": codec, "choices": choices, "bound": bound}
     )
@@ -105,7 +106,10 @@ class ScenarioConfig:
 
     kind: str = _field("kind", _STR, "intensity_ladder",
                        choices=("intensity_ladder", "phase_ladder"))
-    m_bases: int = _field("M", _INT, 16, bound=(">=", 1))
+    # Every command builds and factors 2M x 2M Gram matrices. At M=1024, run
+    # and attacks each take about 9 s and 360 MB peak on a 2-vCPU VM, and
+    # these grow as M^3 and M^2.
+    m_bases: int = _field("M", _INT, 16, bound=(">=", 1, 1024))
     alpha_max: float = _field("alpha_max", _FLOAT, 100.0, bound=(">", 0))
     assignment: str = _field("assignment", _STR, "osk", choices=("osk", "non_overlap"))
     seed_key: str = _field("seed_key", _STR, "ACE1F00D")
@@ -138,9 +142,11 @@ class ScenarioConfig:
             if choices is not None and value not in choices:
                 raise ConfigError(f"{key}: must be one of {choices}, got {value!r}")
             if bound is not None:
-                op, low = bound
+                op, low, *high = bound
                 if not (value > low if op == ">" else value >= low):
                     raise ConfigError(f"{key}: must be {op} {low}, got {value}")
+                if high and value > high[0]:
+                    raise ConfigError(f"{key}: must be <= {high[0]}, got {value}")
         if self.sweep_variable is not None and not self.sweep_values:
             raise ConfigError("sweep_values: empty sweep list")
         try:
@@ -324,7 +330,7 @@ def _link_tables(params: LinkParams, spec: ConstellationSpec):
     m = spec.m_bases
     rates = level_photon_rate(params, spec, np.arange(2 * m))
     thresholds, i_on, i_off, sigma_on, sigma_off = decision_point(params, rates[m:], rates[:m])
-    basis_ber = ber_on_off(params, rates[m:], rates[:m])
+    basis_ber = gaussian_ber(i_on, i_off, sigma_on, sigma_off)
     mean_i, sigma_i = np.concatenate([i_off, i_on]), np.concatenate([sigma_off, sigma_on])
     return mean_i, sigma_i, thresholds, basis_ber
 
@@ -379,7 +385,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
     bob_ber_analytic = float(basis_ber.mean())
     eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment))
     srm_report = srm_error(spec.ensemble())
-    cut = _eve_cuts(srm_report.confusion, m)
+    eve_cut = _eve_cuts(srm_report.confusion, m)
+    bob_cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
 
     gen = config.keystream_generator()
     n = config.trials
@@ -394,9 +401,10 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
         u = rng.random(nc)
         basis_c = basis[lo:hi]
         polarity_c = polarity[lo:hi]
-        level_idx = basis_c + m * (bits ^ polarity_c).astype(np.int64)
-        bob = int(kernels.bob_errors(level_idx, basis_c, polarity_c, bits, z, mean_i, sigma_i, thresholds))
-        eve = int(np.count_nonzero((u > cut[level_idx]) != bits))
+        high = bits ^ polarity_c
+        level_idx = basis_c + m * high.astype(np.int64)
+        bob = kernels.bob_errors(level_idx, z, bob_cut, high)
+        eve = int(np.count_nonzero((u > eve_cut[level_idx]) != bits))
         return c, bob, eve
 
     chunks = list(_chunk_bounds(n))
@@ -408,7 +416,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
         blocks = n
         basis2, polarity2 = draw_symbol_frames(gen, m, assignment, blocks)
         code_ids = _draw_code_ids(gen, blocks)
-        patterns = pattern_array()
+        block_cuts, block_high = kernels.block_tables(bob_cut, pattern_array())
         block_error_analytic = float(
             np.mean([analytic_block_error(p) for p in basis_ber])
         )
@@ -419,11 +427,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
             nc = hi - lo
             bits = rng.integers(0, 2, size=nc, dtype=np.uint8)
             z = rng.standard_normal((nc, 3))
-            count = int(
-                kernels.coded_errors(
-                    basis2[lo:hi], polarity2[lo:hi], code_ids[lo:hi], bits, z,
-                    mean_i, sigma_i, thresholds, patterns, m,
-                )
+            count = kernels.coded_errors(
+                basis2[lo:hi], polarity2[lo:hi], code_ids[lo:hi], bits, z, block_cuts, block_high
             )
             return c, count
 

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from y00sim import kernels
 from y00sim.detection import srm_error
-from y00sim.scenario import _eve_cuts
+from y00sim.overlap_coding import pattern_array
+from y00sim.scenario import ScenarioConfig, _eve_cuts, _link_tables
 from y00sim.y00_cipher import LFSR_MASKS, ConstellationSpec
 
 LENGTHS = (0, 1, 63, 64, 65, 4095, 4096, 4097, 70_001)
@@ -50,6 +53,132 @@ def test_eve_cut_matches_full_row_srm_outcome(m):
     assert 0 < expected.sum() < n
 
 
+def float_bob_errors(level_idx, basis, polarity, bits, z, mean_i, sigma_i, thr):
+    """Bob's bit errors from the photocurrent itself, the reference for
+    the one-cut kernel: decide high when mean + sigma z exceeds the basis
+    threshold, then undo the polarity."""
+    current = mean_i[level_idx] + sigma_i[level_idx] * z
+    decided_high = current > thr[basis]
+    bit_hat = decided_high.astype(np.uint8) ^ polarity
+    return int(np.count_nonzero(bit_hat != bits))
+
+
+def float_coded_errors(basis, polarity, code_id, bits, z, mean_i, sigma_i, thr, m):
+    """Block errors from the photocurrents and the nearest-pattern decoder,
+    the reference for the one-cut coded kernel."""
+    patterns = pattern_array()
+    tx = patterns[code_id, bits ^ polarity]
+    level_idx = basis[:, None] + m * tx.astype(np.int64)
+    current = mean_i[level_idx] + sigma_i[level_idx] * z
+    hard = (current > thr[basis][:, None]).astype(np.uint8)
+    matches_one = (hard == patterns[code_id, 1]).sum(axis=1)
+    decoded = (matches_one >= 2).astype(np.uint8) ^ polarity
+    return int(np.count_nonzero(decoded != bits))
+
+
+# link tables of every ladder shape the Monte Carlo meets: several M, a
+# link near BER 1/2, and a quiet one (no amplifiers or thermal noise)
+LINKS = {
+    **{f"M={m}": dict(m_bases=m) for m in (1, 15, 16, 256, 320)},
+    "noisy": dict(m_bases=4, alpha_max=4.0, n_mean=16e9, g_p=30.0, n_repeaters=8,
+                  thermal_var=1e-15),
+    "quiet": dict(m_bases=4, alpha_max=1000.0, n_mean=1e15, g_p=1.0, kappa_r=1.0,
+                  n_repeaters=0, thermal_var=0.0),
+}
+
+
+def link_levels(overrides):
+    config = ScenarioConfig(**overrides)
+    mean_i, sigma_i, thresholds, _ = _link_tables(config.link_params(), config.constellation())
+    return config.m_bases, mean_i, sigma_i, thresholds
+
+
+def assert_exact_cuts(mean, sigma, thr, rng):
+    """z > cut decides as the float expression at the cut, one ulp either
+    side of it, and at random normals."""
+    cut = kernels.decision_cuts(mean, sigma, thr)
+    n = mean.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.concatenate([
+            cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf),
+            np.tile(cut, 8) * (1.0 + 1e-6 * rng.standard_normal(8 * n)),
+            rng.standard_normal(64 * n),
+        ])
+    level = np.arange(z.size) % n
+    finite = np.isfinite(z)
+    z, level = z[finite], level[finite]
+    with np.errstate(over="ignore"):
+        expected = mean[level] + sigma[level] * z > thr[level]
+    assert np.array_equal(z > cut[level], expected)
+    return cut
+
+
+@pytest.mark.parametrize("link", sorted(LINKS))
+def test_decision_cuts_are_exact_on_link_tables(link):
+    m, mean_i, sigma_i, thresholds = link_levels(LINKS[link])
+    cut = assert_exact_cuts(mean_i, sigma_i, np.tile(thresholds, 2), np.random.default_rng(m))
+    # a low level passes above its cut and a high one below it
+    assert np.all(cut[:m] > 0) and np.all(cut[m:] < 0)
+
+
+def test_decision_cuts_at_the_extremes():
+    big = np.finfo(np.float64).max
+    tiny = np.finfo(np.float64).smallest_subnormal
+    # (mean, sigma, thr): noise-free levels, thresholds out of reach, a
+    # sigma so small next to the mean that the decision flips far from
+    # (thr - mean) / sigma, and an overflowing product
+    cases = np.array([
+        (1.0, 0.0, 0.5), (1.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 0.0, 0.0),
+        (1.0, 1e-300, -1e308), (1.0, 1e-300, 1e308), (-1e308, 1.0, 1e308),
+        (1.0, 1e-20, 1.0 + 2.0**-52), (1.0, 1e-20, 1.0 - 2.0**-53), (1e-5, 3e-21, 1e-5),
+        (1.0, tiny, 1.0), (0.0, tiny, 0.0), (0.0, tiny, tiny), (0.0, 1e308, 1e308),
+        (-1.0, 1e-300, -1.0), (0.0, 1.0, -0.0),
+    ]).T
+    cut = assert_exact_cuts(*cases, np.random.default_rng(1))
+    assert list(cut[:4]) == [-np.inf, big, big, big]
+    assert cut[4] == -np.inf and cut[5] == big
+    # the decision flips far from the naive quotient (thr - mean) / sigma
+    mean, sigma, thr = cases[:, 7]
+    assert abs(cut[7] / ((thr - mean) / sigma) - 1) > 0.1
+
+
+def near_cuts(cuts, rng):
+    """Each cut, or one ulp below or above it, at random; a cut with no
+    finite neighbour on the chosen side gives 0."""
+    with np.errstate(over="ignore"):
+        z = np.choose(rng.integers(0, 3, cuts.shape),
+                      [np.nextafter(cuts, -np.inf), cuts, np.nextafter(cuts, np.inf)])
+    return np.where(np.isfinite(z), z, 0.0)
+
+
+@pytest.mark.parametrize("link", sorted(LINKS))
+def test_one_cut_kernels_match_the_float_decisions(link):
+    m, mean_i, sigma_i, thresholds = link_levels(LINKS[link])
+    cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
+    block_cuts, block_high = kernels.block_tables(cut, pattern_array())
+    rng = np.random.default_rng(2 * m + len(link))
+    n = 30_000
+    basis = rng.integers(0, m, n)
+    polarity = rng.integers(0, 2, n, dtype=np.uint8)
+    bits = rng.integers(0, 2, n, dtype=np.uint8)
+    code_id = rng.integers(0, 3, n)
+    high = bits ^ polarity
+    level_idx = basis + m * high.astype(np.int64)
+    z = rng.standard_normal(n)
+    # a third of the symbols on their level's cut or one ulp either side
+    near = np.arange(n // 3)
+    z[near] = near_cuts(cut[level_idx[near]], rng)
+    expected = float_bob_errors(level_idx, basis, polarity, bits, z, mean_i, sigma_i, thresholds)
+    assert kernels.bob_errors(level_idx, z, cut, high) == expected > 0
+    sent = basis[:, None] + m * pattern_array()[code_id, high].astype(np.int64)
+    z3 = rng.standard_normal((n, 3))
+    z3[near] = near_cuts(cut[sent[near]], rng)
+    expected = float_coded_errors(basis, polarity, code_id, bits, z3, mean_i, sigma_i,
+                                  thresholds, m)
+    assert kernels.coded_errors(basis, polarity, code_id, bits, z3, block_cuts,
+                                block_high) == expected > 0
+
+
 class TestLfsrSemantics:
     def test_output_is_shifted_out_bit(self):
         # one step by hand: state 0b10 -> emits 0, halves; state 0b1 -> emits
@@ -92,3 +221,12 @@ def test_lfsr_fill_matches_oracle_for_non_maximal_polynomial(state):
 def test_lfsr_fill_matches_oracle_from_zero_state():
     assert_matches_oracle(0, LFSR_MASKS[32])
 
+
+def test_kernel_names_the_benchmark_tracer_reads_exist():
+    # perfbench/spans.py counts Monte Carlo items from the first argument of
+    # these two kernels, and its tracer and environment record read the rest
+    for name in ("bob_errors", "coded_errors", "lfsr_fill", "backend_name"):
+        assert callable(getattr(kernels, name, None)), name
+    first = {name: next(iter(inspect.signature(getattr(kernels, name)).parameters))
+             for name in ("bob_errors", "coded_errors")}
+    assert first == {"bob_errors": "level_idx", "coded_errors": "basis"}

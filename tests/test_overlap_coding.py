@@ -126,7 +126,12 @@ class TestFullStackMonteCarlo:
             for code_id, polarity, bit in product((0, 1, 2), (0, 1), (0, 1)):
                 matches_one = int((hard[0] == patterns[code_id, 1]).sum())
                 kernel_decoded = (1 if matches_one >= 2 else 0) ^ polarity
-                assert kernel_decoded == decode_block(bits_tuple, code_id, polarity)
+                decoded = decode_block(bits_tuple, code_id, polarity)
+                assert kernel_decoded == decoded
+                # the symbol-error rule of the one-cut kernel: a block is in
+                # error when at least 2 of its symbols differ from those sent
+                symbol_errors = int((hard[0] != patterns[code_id, bit ^ polarity]).sum())
+                assert (symbol_errors >= 2) == (decoded != bit)
 
     @pytest.mark.parametrize("p", [0.001, 0.01, 0.1])
     def test_block_error_matches_analytic_law(self, p):

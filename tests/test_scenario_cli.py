@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from y00sim import fiber_link
 from y00sim.cli import main as cli_main
 from y00sim.detection import srm_error
 from y00sim.errors import ConfigError, ParameterError
@@ -162,6 +163,19 @@ def test_link_tables_equal_per_basis_calls(overrides):
     assert sigma_i.tobytes() == np.concatenate([sigma_off, sigma_on]).tobytes()
     expected_ber = [ber_on_off(params, rates[j + m], rates[j]) for j in range(m)]
     assert basis_ber.tobytes() == np.array(expected_ber).tobytes()
+
+
+def test_link_tables_evaluate_the_noise_budget_once(monkeypatch):
+    config = default_config()
+    calls = []
+
+    def counted(params, rates, _original=fiber_link.noise_budget):
+        calls.append(np.shape(rates))
+        return _original(params, rates)
+
+    monkeypatch.setattr(fiber_link, "noise_budget", counted)
+    _link_tables(config.link_params(), config.constellation())
+    assert calls == [(2, config.m_bases)]
 
 
 def count_eigensolves(monkeypatch, n: int) -> list:
@@ -351,6 +365,8 @@ class TestCli:
             (["I_th_var=-1"], "I_th_var"),
             # a subnormal peak collapses the 2M levels
             (["alpha_max=5e-324"], "alpha_max"),
+            # past the ceiling every command would factor a 2050 x 2050 Gram matrix
+            (["M=1025"], "M"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
