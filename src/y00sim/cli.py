@@ -45,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the configured sweep and emit CSV")
     for p in (p_run, p_sweep):
         add_common(p)
-        p.add_argument("--workers", type=int, default=1, help="concurrent Monte Carlo chunks")
+        # accepted for old scripts; the Monte Carlo always runs as one in-order pass
+        p.add_argument("--workers", type=int, default=1, help="ignored; kept for compatibility")
 
     p_attacks = sub.add_parser("attacks", help="run the detection/entanglement attack suite")
     add_common(p_attacks)
@@ -71,11 +72,11 @@ def main(argv=None) -> int:
             return 0
         config = ScenarioConfig.from_file(args.config, tuple(args.overrides))
         if args.command == "run":
-            report = run_scenario(config, workers=args.workers)
+            report = run_scenario(config)
             _write_output(report.to_text(config), args.out)
         elif args.command == "sweep":
             out = sys.stdout if args.out is None else args.out
-            emit_csv(sweep(config, workers=args.workers), out)
+            emit_csv(sweep(config), out)
         elif args.command == "attacks":
             _write_output(attack_suite(config).to_text(), args.out)
         return 0

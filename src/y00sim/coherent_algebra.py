@@ -184,9 +184,8 @@ def apply_loss(alpha: CoherentAmplitude, eta: float) -> tuple[complex, complex]:
     return math.sqrt(eta) * alpha, math.sqrt(1.0 - eta) * alpha
 
 
-_QUASI_BELL_SIGNS = {1: +1, 2: -1, 3: +1, 4: -1}
 # kinds 1, 2 superpose |a>|-b> with |-a>|b>; kinds 3, 4 superpose |a>|b> with |-a>|-b>
-_QUASI_BELL_ANTIPODAL = {1: True, 2: True, 3: False, 4: False}
+_QUASI_BELL_SIGNS = {1: +1, 2: -1, 3: +1, 4: -1}
 
 
 def quasi_bell_normalization(kind: int, kappa_a: float, kappa_b: float) -> float:

@@ -4,13 +4,12 @@ eavesdropper attacking each symbol), parameter sweeps, and attack reports.
 
 Reproducibility contract: trials are split into fixed-size chunks; chunk c
 of stream s draws from a generator seeded by SeedSequence(master_rng_seed,
-spawn_key=(s, c)). Chunks may be evaluated concurrently but are reduced in
-index order, so the report bytes depend only on the configuration.
+spawn_key=(s, c)). Chunks are evaluated one after another in index order,
+so the report bytes depend only on the configuration.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -37,6 +36,7 @@ from .y00_cipher import (
     draw_symbol_frames,
     draw_uniform,
     eve_bit_mixtures,
+    is_maximal_lfsr,
     lfsr_polynomial,
 )
 
@@ -170,6 +170,12 @@ class ScenarioConfig:
                 lfsr_polynomial(seed.n, self.lfsr_poly)
         except ParameterError as exc:
             raise ConfigError(f"seed_key: {exc}") from exc
+        if self.keystream == "lfsr" and self.lfsr_poly is not None:
+            if not is_maximal_lfsr(seed.n, self.lfsr_poly):
+                raise ConfigError(
+                    f"lfsr_poly: 0x{self.lfsr_poly:X} does not give a {seed.n}-bit LFSR "
+                    f"the maximal period 2^{seed.n} - 1"
+                )
 
     def constellation(self) -> ConstellationSpec:
         if self.kind == "intensity_ladder":
@@ -251,14 +257,14 @@ def default_config() -> ScenarioConfig:
     return ScenarioConfig()
 
 
-def _probability():
-    return field(metadata={"probability": True})
+def _probability(**kwargs):
+    return field(metadata={"probability": True}, **kwargs)
 
 
 @dataclass(frozen=True)
 class TrialReport:
     """Measured and analytic error rates of one scenario run, its fields in
-    report order. The Optional fields are None when coding is off."""
+    report order. The block fields stay 0 and None when coding is off."""
 
     trials: int
     bob_ber_analytic: float = _probability()
@@ -271,11 +277,11 @@ class TrialReport:
     eve_bit_error_count: int
     eve_state_error_srm: float = _probability()
     guess_baseline: float = _probability()
-    coded_blocks: int
-    block_error_analytic: Optional[float] = _probability()
-    block_error_montecarlo: Optional[float] = _probability()
-    block_error_stderr: Optional[float]
-    block_error_count: Optional[int]
+    coded_blocks: int = 0
+    block_error_analytic: Optional[float] = _probability(default=None)
+    block_error_montecarlo: Optional[float] = _probability(default=None)
+    block_error_stderr: Optional[float] = None
+    block_error_count: Optional[int] = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -371,10 +377,9 @@ def _eve_cuts(confusion: np.ndarray, m: int) -> np.ndarray:
     return c[:, m - 1] / c[:, -1]
 
 
-def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
+def run_scenario(config: ScenarioConfig) -> TrialReport:
     """Run the full pipeline for ``config.trials`` symbols (and as many
-    coded blocks when coding is on). Identical configs produce identical
-    reports regardless of ``workers``."""
+    coded blocks when coding is on)."""
     if config.kind != "intensity_ladder":
         raise ConfigError("kind: the Monte Carlo link model requires intensity_ladder")
     spec = config.constellation()
@@ -382,7 +387,6 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
     m = spec.m_bases
     mean_i, sigma_i, thresholds, basis_ber = _link_tables(config.link_params(), spec)
 
-    bob_ber_analytic = float(basis_ber.mean())
     eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment))
     srm_report = srm_error(spec.ensemble())
     eve_cut = _eve_cuts(srm_report.confusion, m)
@@ -391,68 +395,41 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
     gen = config.keystream_generator()
     n = config.trials
     basis, polarity = draw_symbol_frames(gen, m, assignment, n)
-
-    def uncoded_chunk(args):
-        c, lo, hi = args
+    bob_errors = eve_errors = 0
+    for c, lo, hi in _chunk_bounds(n):
         rng = _chunk_rng(config.master_rng_seed, 0, c)
-        nc = hi - lo
-        bits = rng.integers(0, 2, size=nc, dtype=np.uint8)
-        z = rng.standard_normal(nc)
-        u = rng.random(nc)
-        basis_c = basis[lo:hi]
-        polarity_c = polarity[lo:hi]
-        high = bits ^ polarity_c
-        level_idx = basis_c + m * high.astype(np.int64)
-        bob = kernels.bob_errors(level_idx, z, bob_cut, high)
-        eve = int(np.count_nonzero((u > eve_cut[level_idx]) != bits))
-        return c, bob, eve
+        bits = rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
+        z = rng.standard_normal(hi - lo)
+        u = rng.random(hi - lo)
+        high = bits ^ polarity[lo:hi]
+        level_idx = basis[lo:hi] + m * high.astype(np.int64)
+        bob_errors += kernels.bob_errors(level_idx, z, bob_cut, high)
+        eve_errors += int(np.count_nonzero((u > eve_cut[level_idx]) != bits))
 
-    chunks = list(_chunk_bounds(n))
-    results = _run_chunks(uncoded_chunk, chunks, workers)
-    bob_errors = sum(r[1] for r in results)
-    eve_errors = sum(r[2] for r in results)
-
+    block_fields = {}
     if config.coding:
-        blocks = n
-        basis2, polarity2 = draw_symbol_frames(gen, m, assignment, blocks)
-        code_ids = _draw_code_ids(gen, blocks)
+        basis, polarity = draw_symbol_frames(gen, m, assignment, n)
+        code_ids = _draw_code_ids(gen, n)
         block_cuts, block_high = kernels.block_tables(bob_cut, pattern_array())
-        block_error_analytic = float(
-            np.mean([analytic_block_error(p) for p in basis_ber])
-        )
-
-        def coded_chunk(args):
-            c, lo, hi = args
+        block_errors = 0
+        for c, lo, hi in _chunk_bounds(n):
             rng = _chunk_rng(config.master_rng_seed, 1, c)
-            nc = hi - lo
-            bits = rng.integers(0, 2, size=nc, dtype=np.uint8)
-            z = rng.standard_normal((nc, 3))
-            count = kernels.coded_errors(
-                basis2[lo:hi], polarity2[lo:hi], code_ids[lo:hi], bits, z, block_cuts, block_high
+            bits = rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
+            z = rng.standard_normal((hi - lo, 3))
+            block_errors += kernels.coded_errors(
+                basis[lo:hi], polarity[lo:hi], code_ids[lo:hi], bits, z, block_cuts, block_high
             )
-            return c, count
-
-        coded_results = _run_chunks(coded_chunk, list(_chunk_bounds(blocks)), workers)
-        block_errors = sum(r[1] for r in coded_results)
         block_fields = dict(
-            coded_blocks=blocks,
-            block_error_analytic=block_error_analytic,
-            block_error_montecarlo=block_errors / blocks,
-            block_error_stderr=_stderr(block_errors, blocks),
+            coded_blocks=n,
+            block_error_analytic=float(np.mean([analytic_block_error(p) for p in basis_ber])),
+            block_error_montecarlo=block_errors / n,
+            block_error_stderr=_stderr(block_errors, n),
             block_error_count=block_errors,
-        )
-    else:
-        block_fields = dict(
-            coded_blocks=0,
-            block_error_analytic=None,
-            block_error_montecarlo=None,
-            block_error_stderr=None,
-            block_error_count=None,
         )
 
     return TrialReport(
         trials=n,
-        bob_ber_analytic=bob_ber_analytic,
+        bob_ber_analytic=float(basis_ber.mean()),
         bob_ber_montecarlo=bob_errors / n,
         bob_ber_stderr=_stderr(bob_errors, n),
         bob_error_count=bob_errors,
@@ -464,15 +441,6 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> TrialReport:
         guess_baseline=guess_baseline(2 * m),
         **block_fields,
     )
-
-
-def _run_chunks(worker_fn, chunks, workers: int):
-    if workers <= 1 or len(chunks) <= 1:
-        return [worker_fn(args) for args in chunks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(worker_fn, chunks))
-    results.sort(key=lambda r: r[0])
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +461,7 @@ class CsvSeries:
                 raise ParameterError("rows must match the header width")
 
 
-def sweep(config: ScenarioConfig, workers: int = 1) -> CsvSeries:
+def sweep(config: ScenarioConfig) -> CsvSeries:
     """One run_scenario per sweep value, rows ordered by ascending value.
     The columns are the report's float fields; the block ones need coding."""
     if config.sweep_variable is None:
@@ -507,7 +475,7 @@ def sweep(config: ScenarioConfig, workers: int = 1) -> CsvSeries:
     rows = []
     for value in sorted(config.sweep_values):
         point = config.with_value(config.sweep_variable, value)
-        report = run_scenario(point, workers=workers)
+        report = run_scenario(point)
         rows.append((getattr(point, swept), *(getattr(report, name) for name in columns)))
     return CsvSeries((config.sweep_variable, *columns), tuple(rows))
 

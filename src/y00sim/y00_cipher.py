@@ -13,7 +13,10 @@ mode.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -24,9 +27,8 @@ from .detection import DiscriminationProblem
 from .errors import ParameterError, SeedError
 
 # Feedback masks giving maximal period 2^n - 1 for the right-shift Galois
-# LFSR s' = (s >> 1) ^ (mask if s & 1 else 0). Verified by GF(2)
-# transition-matrix order; widths 8..16 are additionally cycle-checked in
-# the test suite.
+# LFSR s' = (s >> 1) ^ (mask if s & 1 else 0). Each passes
+# is_maximal_lfsr; widths 8..16 are also cycle-checked in the test suite.
 LFSR_MASKS = {
     8: 0x8E,
     9: 0x108,
@@ -113,6 +115,82 @@ def lfsr_polynomial(width: int, polynomial: Optional[int] = None) -> int:
     if not 0 < polynomial < (1 << width):
         raise ParameterError(f"polynomial 0x{polynomial:X} does not fit width {width}")
     return int(polynomial)
+
+
+def is_maximal_lfsr(width: int, mask: int) -> bool:
+    """Whether the ``width``-bit Galois LFSR with feedback ``mask`` runs
+    through all 2^width - 1 nonzero states.
+
+    Reading state bit j as x^(width-1-j), one step multiplies by x modulo
+    P(x) = x^w + sum_i bit_{w-1-i}(mask) x^i, so the period is the order of
+    x modulo P: maximal exactly when x^(2^w-1) = 1 and x^((2^w-1)/q) != 1
+    for every prime q dividing 2^w - 1 (Lidl & Niederreiter, Finite Fields,
+    ch. 3). A mask without bit w-1 makes x divide P, so no power of x is 1.
+    """
+    poly = 1 << width | int(format(mask, f"0{width}b")[::-1], 2)
+    period = (1 << width) - 1
+    return _gf2_pow_x(period, poly) == 1 and all(
+        _gf2_pow_x(period // q, poly) != 1 for q in _prime_factors(period)
+    )
+
+
+def _gf2_pow_x(exponent: int, poly: int) -> int:
+    """x^exponent modulo the GF(2) polynomial ``poly`` (bit i holds the
+    coefficient of x^i), by square-and-multiply."""
+    degree = poly.bit_length() - 1
+    result = 1
+    for bit in bin(exponent)[2:]:
+        result = int("0".join(bin(result)[2:]), 2)  # squaring spreads the bits
+        if bit == "1":
+            result <<= 1
+        while result.bit_length() > degree:
+            result ^= poly << (result.bit_length() - 1 - degree)
+    return result
+
+
+# Miller-Rabin with these bases is deterministic below 3.3e24 > 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> frozenset:
+    """The distinct prime factors of an odd n >= 1, split by Pollard's rho."""
+    if n == 1:
+        return frozenset()
+    if _is_prime(n):
+        return frozenset((n,))
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return _prime_factors(d) | _prime_factors(n // d)
 
 
 # Fresh bits a keystream refill generates at least: the first refill makes

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import sympy
 from scipy import stats
 
 from y00sim.errors import ParameterError, SeedError
@@ -12,10 +13,13 @@ from y00sim.y00_cipher import (
     ConstellationSpec,
     KeystreamGenerator,
     SeedKey,
+    _is_prime,
+    _prime_factors,
     alice_encode,
     bob_decode,
     draw_symbol_frames,
     eve_bit_mixtures,
+    is_maximal_lfsr,
     key_expansion_session,
     next_symbol_map,
 )
@@ -31,6 +35,58 @@ def lfsr_reference(state: int, mask: int, n: int):
             state ^= mask
         out.append(lsb)
     return out, state
+
+
+def brute_force_maximal(width: int, masks) -> np.ndarray:
+    """Whether each mask's register, started at 1, first returns to 1 after
+    exactly 2^width - 1 steps, walked one step at a time."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    state = np.ones_like(masks)
+    early = np.zeros(masks.size, dtype=bool)
+    for step in range(1, 1 << width):
+        state = (state >> np.uint64(1)) ^ (masks * (state & np.uint64(1)))
+        if step < (1 << width) - 1:
+            early |= state == 1
+    return ~early & (state == 1)
+
+
+class TestMaximalPeriod:
+    @pytest.mark.parametrize("width", sorted(LFSR_MASKS))
+    def test_default_masks_are_maximal(self, width):
+        assert is_maximal_lfsr(width, LFSR_MASKS[width])
+
+    @pytest.mark.parametrize("width", [8, 9, 10])
+    def test_agrees_with_brute_force_on_every_mask(self, width):
+        masks = np.arange(1, 1 << width)
+        expected = brute_force_maximal(width, masks)
+        assert [is_maximal_lfsr(width, int(m)) for m in masks] == list(expected)
+        assert expected.any()
+
+    @pytest.mark.parametrize("width", [11, 12, 13, 14, 15, 16])
+    def test_agrees_with_brute_force_on_a_sample(self, width):
+        rng = np.random.default_rng(width)
+        masks = [LFSR_MASKS[width], *rng.integers(1, 1 << width, size=63)]
+        expected = brute_force_maximal(width, masks)
+        assert [is_maximal_lfsr(width, int(m)) for m in masks] == list(expected)
+        assert expected[0] and not expected.all()
+
+    def test_is_prime_agrees_with_sympy(self):
+        # strong pseudoprimes to base 2, to bases 2..7 and to bases 2..23, and
+        # a Carmichael number 211 * 421 * 631 with a^((n-1)/2) = 1 for every a
+        # coprime to it, so squaring reaches 1 without passing through n - 1
+        hard = [2047, 3215031751, 3825123056546413051, 56052361, (1 << 61) - 1, (1 << 64) - 59]
+        for n in [*range(5000), *hard]:
+            assert _is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("width", range(2, 65))
+    def test_prime_factors_of_the_period(self, width):
+        n = (1 << width) - 1
+        factors = _prime_factors(n)
+        assert factors == set(sympy.primefactors(n))
+        for q in factors:
+            while n % q == 0:
+                n //= q
+        assert n == 1
 
 
 class TestKeystream:

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from y00sim.detection import srm_error
 from y00sim.errors import ConfigError, ParameterError
 from y00sim.fiber_link import ber_on_off, decision_point, level_photon_rate
 from y00sim.scenario import (
+    CHUNK_SIZE,
     CsvSeries,
     ScenarioConfig,
     _link_tables,
@@ -88,12 +90,6 @@ class TestRunScenario:
         text_a = run_scenario(config).to_text(config)
         text_b = run_scenario(config).to_text(config)
         assert text_a == text_b
-
-    def test_workers_do_not_change_the_bytes(self):
-        config = small_config(trials=40_000)
-        assert run_scenario(config, workers=1).to_text(config) == run_scenario(
-            config, workers=4
-        ).to_text(config)
 
     def test_osk_eve_error_is_exactly_half(self):
         report = run_scenario(small_config())
@@ -367,6 +363,9 @@ class TestCli:
             (["alpha_max=5e-324"], "alpha_max"),
             # past the ceiling every command would factor a 2050 x 2050 Gram matrix
             (["M=1025"], "M"),
+            # short cycles: 1 sticks at state 1, 3 has period far below 2^32 - 1
+            (["lfsr_poly=1"], "lfsr_poly"),
+            (["lfsr_poly=3"], "lfsr_poly"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -464,6 +463,22 @@ class TestCli:
             ["sweep", str(config_path), "--out", str(parallel), "--workers", "4"]
         ) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_workers_start_no_thread(self, tmp_path, monkeypatch, command):
+        # --workers is accepted and ignored: the Monte Carlo is one in-order pass
+        def refuse(thread):
+            raise AssertionError(f"a thread was started: {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(
+            small_config(
+                trials=2 * CHUNK_SIZE, sweep_variable="M", sweep_values=(2.0, 4.0)
+            ).to_text()
+        )
+        out = tmp_path / "out.txt"
+        assert cli_main([command, str(config_path), "--out", str(out), "--workers", "4"]) == 0
 
     @pytest.mark.parametrize(
         "args",
