@@ -269,11 +269,11 @@ class LossySharedState:
     def __post_init__(self):
         m = self.matrix
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise ParameterError("density matrix must have unit trace")
+            raise IllConditionedEnsembleError("density matrix must have unit trace")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ParameterError("density matrix must be Hermitian")
+            raise IllConditionedEnsembleError("density matrix must be Hermitian")
         if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ParameterError("density matrix must be positive semidefinite")
+            raise IllConditionedEnsembleError("density matrix must be positive semidefinite")
 
 
 def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:

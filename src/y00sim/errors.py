@@ -14,7 +14,7 @@ class DimensionError(Y00Error, ValueError):
 
 
 class IllConditionedEnsembleError(Y00Error, ValueError):
-    """A Gram matrix has eigenvalues too negative to be rounding noise."""
+    """A Gram matrix, or a state built from one, is too far off to be rounding noise."""
 
 
 class SeedError(Y00Error, ValueError):

@@ -1,10 +1,10 @@
 """Hot numeric kernels, written in numpy.
 
-``lfsr_fill`` expands the Galois LFSR keystream by block jumps;
-``_lfsr_fill_py`` is the bit-by-bit recurrence it must reproduce, kept as
-the reference the tests compare against. ``decision_cuts`` turns Bob's
-threshold decision into one cut per level, and the other kernels are the
-Monte Carlo steps of the scenario runner.
+``lfsr_fill`` expands the Galois LFSR keystream in 4096-bit super-blocks,
+each one lane-table gather; ``_lfsr_fill_py`` is the bit-by-bit recurrence
+it must reproduce, kept as the reference the tests compare against.
+``decision_cuts`` turns Bob's threshold decision into one cut per level, and
+the other kernels are the Monte Carlo steps of the scenario runner.
 """
 
 from __future__ import annotations
@@ -27,36 +27,39 @@ def _lfsr_fill_py(state, mask, out):
     return np.uint64(s)
 
 
-_BLOCK = 64           # output bits per register state in lfsr_fill
+_BLOCK = 64           # output bits per lane word
+_LANE_JUMPS = 6       # a super-block is 2^6 words: A^4096 is jumps[6]
+SUPER_BLOCK = _BLOCK << _LANE_JUMPS  # output bits per lane-table gather
 _JUMP_LEVELS = 32     # jumps A^(64 * 2^k) for k < 32: fills of up to 2^38 bits
 
 
-def _byte_tables(columns: np.ndarray) -> np.ndarray:
+def _tables(columns: np.ndarray, bits: int = 8) -> np.ndarray:
     """Lookup tables applying the GF(2) matrix with these columns (column i
-    is the image of bit i) one state byte at a time."""
-    n_bytes = columns.size // 8
-    tables = np.zeros((n_bytes, 256), dtype=np.uint64)
-    by_byte = columns.reshape(n_bytes, 8)
-    for t in range(8):
-        tables[:, 1 << t:2 << t] = tables[:, :1 << t] ^ by_byte[:, t:t + 1]
+    is the image of bit i, of any trailing shape) ``bits`` state bits at a time."""
+    n = columns.shape[0] // bits
+    tables = np.zeros((n, 1 << bits, *columns.shape[1:]), dtype=np.uint64)
+    by_chunk = columns.reshape(n, bits, *columns.shape[1:])
+    for t in range(bits):
+        tables[:, 1 << t:2 << t] = tables[:, :1 << t] ^ by_chunk[:, t:t + 1]
     return tables
 
 
 def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
-    out = tables[0][states & 0xFF]
+    low = tables.shape[1] - 1  # a chunk of low.bit_length() state bits
+    out = tables[0][states & low]
     for b in range(1, tables.shape[0]):
-        out ^= tables[b][(states >> np.uint64(8 * b)) & 0xFF]
+        out ^= tables[b][(states >> np.uint64(b * low.bit_length())) & low]
     return out
 
 
 @lru_cache(maxsize=64)
 def _lfsr_tables(mask: int, n_bytes: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(words, jumps) of the register step A: s -> (s >> 1) ^ (mask if s & 1)
+    """(lanes, jumps) of the register step A: s -> (s >> 1) ^ (mask if s & 1)
     on states of ``n_bytes`` bytes, a linear map on GF(2)^(8 n_bytes).
 
-    Output bit j from state s is bit 0 of A^j s; words holds the byte tables
-    of the map from s to its 64 output bits, bit j of the word being output
-    bit j. jumps[k] holds the byte tables of A^(64 * 2^k).
+    Output bit j from state s is bit 0 of A^j s. lanes holds the lookup tables
+    of the map from s to its next 4096 output bits, bit j of word k being
+    output bit 64 k + j; jumps[k] holds the byte tables of A^(64 * 2^k).
     """
     width = 8 * n_bytes
     columns = np.uint64(1) << np.arange(width, dtype=np.uint64)  # A^j e_i, j = 0
@@ -64,16 +67,21 @@ def _lfsr_tables(mask: int, n_bytes: int) -> tuple[np.ndarray, tuple[np.ndarray,
     for j in range(_BLOCK):
         word_columns |= (columns & np.uint64(1)) << np.uint64(j)
         columns = (columns >> np.uint64(1)) ^ np.where(columns & 1, np.uint64(mask), 0)
-    jumps = [_byte_tables(columns)]
+    jumps = [_tables(columns)]
     unit_bytes = np.uint64(1) << np.arange(8, dtype=np.uint64)
     for _ in range(1, _JUMP_LEVELS):
         # the columns of a matrix are its tables at the one-bit bytes
         columns = jumps[-1][:, unit_bytes].ravel()
-        jumps.append(_byte_tables(_apply(jumps[-1], columns)))
-    words = _byte_tables(word_columns)
-    for table in (words, *jumps):
+        jumps.append(_tables(_apply(jumps[-1], columns)))
+    # lane k of e_i is the first word of A^(64 k) e_i, found by doubling
+    starts = np.uint64(1) << np.arange(width, dtype=np.uint64)[None, :]
+    for k in range(_LANE_JUMPS):
+        starts = np.concatenate([starts, _apply(jumps[k], starts)])
+    # nibble chunks keep a 32-bit register's lanes at 64 KB, not 512 KB
+    lanes = _tables(_apply(_tables(word_columns), starts).T, 4)
+    for table in (lanes, *jumps):
         table.flags.writeable = False  # shared by every caller through the cache
-    return words, tuple(jumps)
+    return lanes, tuple(jumps)
 
 
 def lfsr_fill(state, mask, out):
@@ -81,26 +89,32 @@ def lfsr_fill(state, mask, out):
     Galois LFSR starting at ``state``; return the state after them.
 
     Bit-identical to ``_lfsr_fill_py``. The step is linear over GF(2), so
-    the states at stride 64 follow from the start by doubling with the jump
-    matrices A^(64 * 2^k), and each state's 64 output bits are one more
-    linear map, applied by byte tables as a 64-bit word (Haramoto et al.,
-    "Efficient jump ahead for F2-linear random number generators", INFORMS
-    J. Computing 20(3), 2008).
+    the states at stride 4096 follow from the start by doubling with the
+    jump matrices A^(4096 * 2^k), and one gather of the lane tables maps each
+    to its 4096 output bits as 64 words (Haramoto et al., "Efficient jump
+    ahead for F2-linear random number generators", INFORMS J. Computing
+    20(3), 2008). A partial last super-block takes its words from the same
+    gather, then a binary jump and the bit-by-bit recurrence for its end.
     """
     s, m = int(state), int(mask)
     # a register of this width never sets a higher bit
-    words, jumps = _lfsr_tables(m, max(1, (max(s.bit_length(), m.bit_length()) + 7) // 8))
-    blocks = out.shape[0] // _BLOCK
+    lanes, jumps = _lfsr_tables(m, max(1, (max(s.bit_length(), m.bit_length()) + 7) // 8))
+    supers, rest = divmod(out.shape[0], SUPER_BLOCK)
     states = np.array([s], dtype=np.uint64)
-    for k in range(blocks.bit_length()):
-        # states[i + 2^k] = A^(64 * 2^k) states[i]
-        fresh = _apply(jumps[k], states[:blocks + 1 - states.size])
+    for k in range(supers.bit_length()):
+        # states[i + 2^k] = A^(4096 * 2^k) states[i]
+        fresh = _apply(jumps[_LANE_JUMPS + k], states[:supers + 1 - states.size])
         states = np.concatenate([states, fresh])
+    head = out.shape[0] - out.shape[0] % _BLOCK  # bits in whole words
     # little-endian bytes, least significant bit first: output bit j of a
-    # state lands at offset j of its 64
-    packed = _apply(words, states[:blocks]).astype("<u8", copy=False).view(np.uint8)
-    out[:blocks * _BLOCK] = np.unpackbits(packed, bitorder="little")
-    return _lfsr_fill_py(states[blocks], m, out[blocks * _BLOCK:])
+    # word lands at offset j of its 64
+    packed = _apply(lanes, states[:supers + (rest > 0)]).astype("<u8", copy=False)
+    out[:head] = np.unpackbits(packed.view(np.uint8), bitorder="little")[:head]
+    last = states[supers:]
+    for k in range(_LANE_JUMPS):  # past the whole words of a partial super-block
+        if rest // _BLOCK >> k & 1:
+            last = _apply(jumps[k], last)
+    return _lfsr_fill_py(last[0], m, out[head:])
 
 
 _SIGN = np.uint64(1 << 63)

@@ -25,7 +25,7 @@ from .detection import (
     minimax_pair,
     srm_error,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, IllConditionedEnsembleError, ParameterError
 from .fiber_link import LinkParams, decision_point, gaussian_ber, level_photon_rate
 from .overlap_coding import analytic_block_error, pattern_array
 from .y00_cipher import (
@@ -43,6 +43,9 @@ from .y00_cipher import (
 CHUNK_SIZE = 16384
 
 _ETA_SWEEP = (1.0, 0.8, 0.6, 0.4, 0.2, 0.1, 0.01, 0.001, 0.0001)
+# Probe amplitude above which lossy_shared_state's 4x4 embedding held at every
+# eta of the sweep on a 4001-point log grid over [1e-9, 1e-1]; some below pass.
+_PROBE_FLOOR = 1.1e-3
 
 
 def _fmt(value: float) -> str:
@@ -558,7 +561,15 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
         probe_alpha = float(config.alpha_max)
     rows = []
     for eta in _ETA_SWEEP:
-        fraction: EntangledFraction = entangled_fraction(lossy_shared_state(probe_alpha, eta))
+        try:
+            state = lossy_shared_state(probe_alpha, eta)
+        except IllConditionedEnsembleError as exc:
+            raise ConfigError(
+                f"alpha_max: the entanglement probe alpha={probe_alpha:g} is below the floor"
+                f" of about {_PROBE_FLOOR:g} of the 4x4 embedding ({exc});"
+                f" need alpha_max >= {_PROBE_FLOOR * config.alpha_max / probe_alpha:.2g}"
+            ) from exc
+        fraction: EntangledFraction = entangled_fraction(state)
         rows.append((eta, fraction.fraction, fraction.closed_form))
 
     return AttackReport(

@@ -235,9 +235,9 @@ class KeystreamGenerator:
         self._refill = _FIRST_REFILL_BITS
 
     def _generate(self, n_bits: int) -> np.ndarray:
-        """At least n_bits fresh bits of the stream."""
+        """At least n_bits fresh bits of the stream, in whole LFSR super-blocks."""
         if self.kind == "lfsr":
-            out = np.empty(n_bits, dtype=np.uint8)
+            out = np.empty(-(-n_bits // kernels.SUPER_BLOCK) * kernels.SUPER_BLOCK, np.uint8)
             self._state = int(
                 kernels.lfsr_fill(np.uint64(self._state), np.uint64(self.polynomial), out)
             )
@@ -406,26 +406,31 @@ def draw_uniform(
         raise ParameterError("need bound >= 1 and count >= 0")
     n_bits = (bound - 1).bit_length()
     tail = int(tail_bit)
+    stride = n_bits + tail
     values = np.zeros(count, dtype=np.int64)
     tails = np.zeros(count, dtype=np.uint8)
-    if n_bits + tail == 0:
-        return values, tails
     # Attempts sit at a fixed stride unless a tail bit follows only the
-    # accepted ones.
-    fixed = tail == 0 or bound == 1 << n_bits
+    # accepted ones; under a power-of-two bound every attempt is a draw.
+    exact = bound == 1 << n_bits
+    fixed = tail == 0 or exact
     done = 0
     while done < count:
         want = min(count - done, _DRAW_CHUNK)
         # bits for `want` draws at the mean acceptance rate, 1/8 to spare
         span = ((want * n_bits) << n_bits) // bound + want * tail
-        span += span // 8 + n_bits + tail
-        bits = gen.peek(span)
-        n_start = span - n_bits - tail + 1
-        step = n_bits + tail if fixed else 1
-        starts = np.arange(0, n_start, step)
-        v = np.zeros(starts.size, dtype=np.int64)
+        span += span // 8 + stride
+        bits = gen.take(want * stride) if exact else gen.peek(span)
+        n_start = bits.size - stride + 1
+        step = stride if fixed else 1
+        v = np.zeros(1, dtype=np.int64)  # broadcasts to one value per attempt
         for b in range(n_bits):
             v = (v << 1) | bits[b:b + n_start:step]
+        if exact:
+            values[done:done + want] = v
+            tails[done:done + want] = bits[n_bits::stride] if tail else 0
+            done += want
+            continue
+        starts = np.arange(0, n_start, step)
         accept = v < bound
         if not fixed:
             # Walk the attempts 0, next[0], next[next[0]], ... by pointer

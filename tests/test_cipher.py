@@ -9,6 +9,7 @@ from y00sim.errors import ParameterError, SeedError
 from y00sim.kernels import _lfsr_fill_py
 from y00sim.y00_cipher import (
     LFSR_MASKS,
+    _DRAW_CHUNK,
     BasisAssignment,
     ConstellationSpec,
     KeystreamGenerator,
@@ -18,6 +19,7 @@ from y00sim.y00_cipher import (
     alice_encode,
     bob_decode,
     draw_symbol_frames,
+    draw_uniform,
     eve_bit_mixtures,
     is_maximal_lfsr,
     key_expansion_session,
@@ -294,6 +296,33 @@ class TestBufferedKeystream:
         expected = [next_symbol_map(scalar, m, assignment) for _ in range(20_000)]
         assert [tuple(map(int, bp)) for bp in zip(basis, polarity)] == expected
         assert np.array_equal(bulk.take(256), scalar.take(256))
+
+    @pytest.mark.parametrize("count", [_DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1])
+    @pytest.mark.parametrize("mode", ["osk", "non_overlap"])
+    @pytest.mark.parametrize("m", [2, 17, 1024])
+    def test_bulk_frames_around_a_draw_chunk(self, m, mode, count):
+        # power-of-two M reads fixed-stride rows with and without the
+        # polarity bit, M=17 rejects; counts end just inside, on and just
+        # past a chunk of draws
+        assignment = BasisAssignment(mode)
+        bulk = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
+        scalar = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
+        bulk.take(5)
+        scalar.take(5)
+        basis, polarity = draw_symbol_frames(bulk, m, assignment, count)
+        expected = np.array([next_symbol_map(scalar, m, assignment) for _ in range(count)])
+        assert np.array_equal(basis, expected[:, 0])
+        assert np.array_equal(polarity, expected[:, 1])
+        assert np.array_equal(bulk.take(256), scalar.take(256))
+
+    def test_bound_one_reads_only_the_tail_bits(self):
+        # M=1 under OSK: no basis bits, so each draw is value 0 and one bit
+        gen = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
+        stream = KeystreamGenerator(SeedKey.from_hex("ACE1F00D")).take(_DRAW_CHUNK + 300)
+        values, tails = draw_uniform(gen, 1, _DRAW_CHUNK + 44, tail_bit=True)
+        assert not values.any()
+        assert np.array_equal(tails, stream[:_DRAW_CHUNK + 44])
+        assert np.array_equal(gen.take(256), stream[_DRAW_CHUNK + 44:])
 
     @pytest.mark.parametrize("kind", ["lfsr", "counter_hash"])
     def test_bulk_code_ids_leave_the_per_draw_state(self, kind):

@@ -3,6 +3,9 @@ CSVs and the emitted default configuration. A refactor that changes one
 byte of any of these outputs fails here."""
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +49,24 @@ def test_output_bytes_match_golden_hash(tmp_path, argv, expected):
     argv = [arg.format(cfg=config_path) for arg in argv]
     assert cli_main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def load_module(monkeypatch, name, path):
+    """Import ``path`` as module ``name`` for this test only."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_pins_match_these(monkeypatch):
+    # the benchmark's report checks carry their own copy of some pins
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    workloads = load_module(monkeypatch, "workloads", bench / "workloads.py")
+    checks = load_module(monkeypatch, "checks", bench / "checks.py")
+    pins = {tuple(argv): digest for _, argv, digest in GOLDEN}
+    assert checks.GOLDEN
+    for name, argv, digest in checks.GOLDEN:
+        key = tuple("{cfg}" if arg == workloads.CONFIG else arg for arg in argv)
+        assert pins.get(key) == digest, name

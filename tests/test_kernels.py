@@ -2,6 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from y00sim import kernels
 from y00sim.detection import srm_error
@@ -9,7 +10,10 @@ from y00sim.overlap_coding import pattern_array
 from y00sim.scenario import ScenarioConfig, _eve_cuts, _link_tables
 from y00sim.y00_cipher import LFSR_MASKS, ConstellationSpec
 
-LENGTHS = (0, 1, 63, 64, 65, 4095, 4096, 4097, 70_001)
+# around the 64-bit word, the 4096-bit super-block, two super-blocks and
+# the 2^18-bit keystream refill, and one fill across several refills
+LENGTHS = (0, 1, 63, 64, 65, 4095, 4096, 4097, 8191, 8192, 8193, 70_001,
+           262_143, 262_144, 262_145, 3 * (1 << 18) + 4161)
 
 
 def srm_outcomes(cdf, level_idx, u, chunk=4096):
@@ -196,15 +200,18 @@ class TestLfsrSemantics:
 
 
 def assert_matches_oracle(state, mask):
-    """The block-jump kernel against the bit-by-bit recurrence, at every
-    length around the 64-bit block and output-chunk boundaries."""
+    """The super-block kernel against the bit-by-bit recurrence, at every
+    length of LENGTHS. The recurrence runs once, to the longest length, and
+    stops at each shorter one for the state there."""
+    slow = np.empty(LENGTHS[-1], dtype=np.uint8)
+    slow_state, done = np.uint64(state), 0
     for n in LENGTHS:
+        slow_state = kernels._lfsr_fill_py(slow_state, np.uint64(mask), slow[done:n])
+        done = n
         fast = np.empty(n, dtype=np.uint8)
-        slow = np.empty(n, dtype=np.uint8)
         fast_state = kernels.lfsr_fill(np.uint64(state), np.uint64(mask), fast)
-        slow_state = kernels._lfsr_fill_py(np.uint64(state), np.uint64(mask), slow)
         assert int(fast_state) == int(slow_state), n
-        assert np.array_equal(fast, slow), n
+        assert np.array_equal(fast, slow[:n]), n
 
 
 @pytest.mark.parametrize("width", sorted(LFSR_MASKS))
@@ -220,6 +227,28 @@ def test_lfsr_fill_matches_oracle_for_non_maximal_polynomial(state):
 
 def test_lfsr_fill_matches_oracle_from_zero_state():
     assert_matches_oracle(0, LFSR_MASKS[32])
+
+
+@st.composite
+def registers(draw):
+    """(state, mask) of a register 1 to 64 bits wide; the mask may be
+    narrower than the state and need not give a maximal period."""
+    width = draw(st.integers(1, 64))
+    state = draw(st.integers(0, (1 << width) - 1))
+    mask = draw(st.integers(0, (1 << draw(st.integers(1, width))) - 1))
+    return state, mask
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(registers(), st.integers(0, 3 * kernels.SUPER_BLOCK + 130))
+def test_lfsr_fill_matches_oracle_on_any_register(register, n):
+    state, mask = register
+    fast = np.empty(n, dtype=np.uint8)
+    slow = np.empty(n, dtype=np.uint8)
+    fast_state = kernels.lfsr_fill(np.uint64(state), np.uint64(mask), fast)
+    slow_state = kernels._lfsr_fill_py(np.uint64(state), np.uint64(mask), slow)
+    assert int(fast_state) == int(slow_state)
+    assert np.array_equal(fast, slow)
 
 
 def test_kernel_names_the_benchmark_tracer_reads_exist():

@@ -419,6 +419,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "too small" in err
 
+    @pytest.mark.parametrize(
+        "kind, alpha_max, floor",
+        [
+            # the intensity ladder probes its lowest level, alpha_max / 32 at M=16
+            ("intensity_ladder", "1e-2", "0.035"),
+            ("intensity_ladder", "2.5e-2", "0.035"),
+            ("phase_ladder", "1e-4", "0.0011"),
+            ("phase_ladder", "1e-7", "0.0011"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_attacks_below_the_embedding_floor_is_a_config_error(
+        self, tmp_path, capsys, kind, alpha_max, floor
+    ):
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(default_config().to_text())
+        argv = ["attacks", str(config_path), "--set", f"kind={kind}",
+                "--set", f"alpha_max={alpha_max}"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: alpha_max: ")
+        assert "floor of about 0.0011" in err and f"need alpha_max >= {floor}" in err
+        # run has no entanglement probe, so the same value still runs
+        assert cli_main(["run", str(config_path), "--set", f"alpha_max={alpha_max}",
+                         "--set", "trials=1000", "--out", str(tmp_path / "r.txt")]) == 0
+
     def test_run_validates_the_config_once(self, tmp_path, monkeypatch):
         calls = []
         validate = ScenarioConfig.validate
