@@ -72,12 +72,15 @@ def helstrom_pure_pair(overlap_sq: float, p1: float = 0.5) -> float:
     return 0.5 * (1.0 - math.sqrt(max(inner, 0.0)))
 
 
-def helstrom_mixed_pair(problem: DiscriminationProblem) -> DetectionReport:
+def helstrom_mixed_pair(
+    problem: DiscriminationProblem, embedding: Optional[np.ndarray] = None
+) -> DetectionReport:
     """Minimum error between two mixtures: (1 - ||p1 rho1 - p0 rho0||_1) / 2.
 
     The signed operator is assembled in the span of the union ensemble;
     exactly identical kets are merged first (their signed weights add),
-    which keeps degenerate problems such as identical mixtures exact.
+    which keeps degenerate problems such as identical mixtures exact. A
+    given ``embedding`` of the distinct kets, in first-seen order, saves a root.
     """
     ens = problem.ensemble
     signs = np.zeros(len(ens))
@@ -91,14 +94,14 @@ def helstrom_mixed_pair(problem: DiscriminationProblem) -> DetectionReport:
     if len(states) == 1 or np.all(coeffs == 0.0):
         trace_norm = abs(coeffs.sum())
     else:
-        v = orthonormal_embedding(StateEnsemble.uniform(states))
+        v = orthonormal_embedding(StateEnsemble.uniform(states)) if embedding is None else embedding
         delta = (v * coeffs) @ v.conj().T
         trace_norm = float(np.abs(np.linalg.eigvalsh(delta)).sum())
     error = 0.5 * (1.0 - min(trace_norm, 1.0))
     return DetectionReport(error_probability=max(error, 0.0))
 
 
-def srm_error(ensemble: StateEnsemble) -> DetectionReport:
+def srm_error(ensemble: StateEnsemble, embedding: Optional[np.ndarray] = None) -> DetectionReport:
     """Square-root-measurement error and outcome distribution for an
     equal-prior ensemble.
 
@@ -108,12 +111,13 @@ def srm_error(ensemble: StateEnsemble) -> DetectionReport:
     For two symmetric pure states this equals the Helstrom limit; for N
     identical states it degrades to pure guessing. ``confusion`` holds
     P[i, j] = |S_ji|^2 with rows renormalized to sum to exactly 1, which
-    absorbs the rounding lost with near-singular Gram matrices.
+    absorbs the rounding lost with near-singular Gram matrices. A given
+    ``embedding`` (S, the ensemble's orthonormal_embedding) saves the root.
     """
     n = len(ensemble)
     if np.max(np.abs(ensemble.priors - 1.0 / n)) > 1e-12:
         raise ParameterError("the square-root measurement here is defined for uniform priors")
-    s = orthonormal_embedding(ensemble)
+    s = orthonormal_embedding(ensemble) if embedding is None else embedding
     # |S_ii|^2 overshoots 1 by rounding for nearly orthogonal ensembles
     per_state = np.clip(np.abs(np.diag(s)) ** 2, 0.0, 1.0)
     error = 1.0 - float(per_state.mean())

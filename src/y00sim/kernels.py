@@ -166,6 +166,12 @@ def decision_cuts(mean_i, sigma_i, thr_level):
     return np.where(every, -np.inf, np.where(none, _MAX, _floats(lo)))
 
 
+def level_index(basis, high, m):
+    """Level row of each symbol, basis + m * high, as np.intp: keyed draws
+    come in the narrowest unsigned dtype, where that sum would wrap."""
+    return basis + m * high.astype(np.intp)
+
+
 def bob_errors(level_idx, z, cut, high):
     """Bit errors of Bob's thresholded direct-detection decisions: the
     symbol sent on ``level_idx`` with noise ``z`` is decided high when
@@ -188,11 +194,11 @@ def coded_errors(basis, polarity, code_id, bits, z, block_cuts, block_high):
     """Block errors of keyed 3-symbol repetition blocks through the noisy
     link: a block is in error when at least 2 of its symbols are.
 
-    Row basis*6 + code*2 + (bit ^ polarity) of ``block_tables`` holds the 3
-    cuts and high flags of the pattern sent; the majority decoder errs
-    exactly when 2 of the 3 hard decisions differ from it.
+    Row basis*6 + code*2 + (bit ^ polarity) of ``block_tables`` (in np.intp,
+    as for level_index) holds the 3 cuts and high flags of the pattern sent;
+    the majority decoder errs exactly when 2 of the 3 hard decisions differ.
     """
-    row = basis * 6 + code_id * 2 + (bits ^ polarity)
+    row = basis.astype(np.intp) * 6 + code_id * 2 + (bits ^ polarity)
     # np.take gathers whole rows several times faster than fancy indexing
     wrong = (z > np.take(block_cuts, row, axis=0)) != np.take(block_high, row, axis=0)
     wrong = wrong.view(np.uint8)

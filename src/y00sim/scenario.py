@@ -18,7 +18,12 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .coherent_algebra import EntangledFraction, entangled_fraction, lossy_shared_state
+from .coherent_algebra import (
+    EntangledFraction,
+    entangled_fraction,
+    lossy_shared_state,
+    orthonormal_embedding,
+)
 from .detection import (
     guess_baseline,
     helstrom_mixed_pair,
@@ -390,8 +395,10 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
     m = spec.m_bases
     mean_i, sigma_i, thresholds, basis_ber = _link_tables(config.link_params(), spec)
 
-    eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment))
-    srm_report = srm_error(spec.ensemble())
+    # the levels are the distinct kets of either assignment's bit mixtures
+    embedding = orthonormal_embedding(spec.ensemble())
+    eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment), embedding)
+    srm_report = srm_error(spec.ensemble(), embedding)
     eve_cut = _eve_cuts(srm_report.confusion, m)
     bob_cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
 
@@ -405,7 +412,7 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
         z = rng.standard_normal(hi - lo)
         u = rng.random(hi - lo)
         high = bits ^ polarity[lo:hi]
-        level_idx = basis[lo:hi] + m * high.astype(np.int64)
+        level_idx = kernels.level_index(basis[lo:hi], high, m)
         bob_errors += kernels.bob_errors(level_idx, z, bob_cut, high)
         eve_errors += int(np.count_nonzero((u > eve_cut[level_idx]) != bits))
 

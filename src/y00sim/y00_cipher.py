@@ -392,71 +392,93 @@ def next_symbol_map(
     return candidate, polarity
 
 
+def _decode(windows: np.ndarray, n_bits: int, lane) -> np.ndarray:
+    """The value of each row's first ``n_bits`` >= 1 bits, first bit most significant."""
+    v = windows[:, 0].astype(lane)
+    for b in range(1, n_bits):
+        v <<= 1
+        v |= windows[:, b]
+    return v
+
+
 def draw_uniform(
     gen: KeystreamGenerator, bound: int, count: int, tail_bit: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` keyed draws uniform on [0, bound): (values int64, tail bits uint8).
+    """``count`` keyed draws uniform on [0, bound): (values, tail bits uint8),
+    the values in the narrowest unsigned dtype that holds 2^ceil(log2 bound) - 1.
 
     Each attempt reads ceil(log2 bound) bits, first bit most significant,
     and is rejected if >= bound; with ``tail_bit`` one more bit follows each
-    accepted value. Resolved in bulk by an accept mask over peeked bits, a
-    batch takes exactly the bits the attempt-at-a-time loop would.
+    accepted value. Resolved in bulk over peeked bits, a batch takes exactly
+    the bits the attempt-at-a-time loop would.
     """
     if bound < 1 or count < 0:
         raise ParameterError("need bound >= 1 and count >= 0")
     n_bits = (bound - 1).bit_length()
     tail = int(tail_bit)
     stride = n_bits + tail
-    values = np.zeros(count, dtype=np.int64)
+    lane = np.min_scalar_type((1 << n_bits) - 1)
+    values = np.empty(count, dtype=lane)
     tails = np.zeros(count, dtype=np.uint8)
-    # Attempts sit at a fixed stride unless a tail bit follows only the
-    # accepted ones; under a power-of-two bound every attempt is a draw.
-    exact = bound == 1 << n_bits
-    fixed = tail == 0 or exact
+    exact = bound == 1 << n_bits  # every attempt is a draw
     done = 0
     while done < count:
         want = min(count - done, _DRAW_CHUNK)
-        # bits for `want` draws at the mean acceptance rate, 1/8 to spare
-        span = ((want * n_bits) << n_bits) // bound + want * tail
-        span += span // 8 + stride
-        bits = gen.take(want * stride) if exact else gen.peek(span)
-        n_start = bits.size - stride + 1
-        step = stride if fixed else 1
-        v = np.zeros(1, dtype=np.int64)  # broadcasts to one value per attempt
-        for b in range(n_bits):
-            v = (v << 1) | bits[b:b + n_start:step]
         if exact:
-            values[done:done + want] = v
-            tails[done:done + want] = bits[n_bits::stride] if tail else 0
+            rows = gen.take(want * stride).reshape(want, stride)
+            values[done:done + want] = _decode(rows, n_bits, lane) if n_bits else 0
+            tails[done:done + want] = rows[:, n_bits] if tail else 0
             done += want
-            continue
-        starts = np.arange(0, n_start, step)
-        accept = v < bound
-        if not fixed:
-            # Walk the attempts 0, next[0], next[next[0]], ... by pointer
-            # doubling: after k rounds `jump` maps an offset 2^k attempts on.
-            jump = np.append(np.minimum(starts + n_bits + tail * accept, n_start), n_start)
-            path = np.zeros(1, dtype=np.int64)
-            while path[-1] < n_start:
+        elif not tail:
+            # attempt i is row i: rows for `want` draws at the mean
+            # acceptance rate, 1/32 to spare
+            k = (want << n_bits) // bound
+            k += k // 32 + 1
+            v = _decode(gen.peek(k * n_bits).reshape(k, n_bits), n_bits, lane)
+            hits = np.flatnonzero(v < bound)[:want]
+            values[done:done + hits.size] = v[hits]
+            gen.take(n_bits * (int(hits[-1]) + 1 if hits.size == want else k))
+            done += hits.size
+        else:
+            # A tail bit follows only accepted attempts: the walk steps along
+            # one lattice of offsets, `stride` apart, until a reject at q moves
+            # it to q + n_bits, one lattice phase back.
+            span = ((want * n_bits) << n_bits) // bound + want
+            bits = gen.peek(span + span // 32 + stride)
+            v = _decode(np.lib.stride_tricks.sliding_window_view(bits[:-1], n_bits), n_bits, lane)
+            n_start = v.size  # offsets with room for a value and its tail bit
+            # node 0 enters at offset 0, as if a reject sat at -n_bits; node
+            # i > 0 is the i-th reject, linked to the first reject at or after
+            # q + n_bits on its lattice: a suffix minimum down every lattice,
+            # run forward over reversed offsets
+            nodes = np.append(-n_bits, np.flatnonzero(v >= bound))
+            top = -(-(n_start + n_bits) // stride) * stride - 1
+            found = np.full(top + 1, nodes.size, dtype=np.int32)
+            found[top - nodes[1:]] = np.arange(1, nodes.size)
+            np.minimum.accumulate(found.reshape(-1, stride), axis=0, out=found.reshape(-1, stride))
+            jump = np.append(found[top - n_bits - nodes], nodes.size)
+            path = np.zeros(1, dtype=np.intp)  # the chain 0, jump[0], ... by pointer doubling
+            while path[-1] < nodes.size:
                 path = np.concatenate([path, jump[path]])
                 jump = jump[jump]
-            starts = path[path < n_start]
-            v, accept = v[starts], accept[starts]
-        hits = np.flatnonzero(accept)[:want]
-        got = hits.size
-        values[done:done + got] = v[hits]
-        if tail:
-            tails[done:done + got] = bits[starts[hits] + n_bits]
-        last = hits[-1] if got == want else starts.size - 1
-        gen.take(int(starts[last] + n_bits + tail * accept[last]))
-        done += got
+            # the accepted attempts are the lattice runs between walked rejects
+            run = nodes[path[path < nodes.size]] + n_bits
+            runs = (np.append(run[1:] - n_bits, n_start) - run + n_bits) // stride
+            ends = np.cumsum(runs)
+            got = min(int(ends[-1]), want)
+            at = np.repeat(run - stride * (ends - runs), runs)[:want] + stride * np.arange(got)
+            values[done:done + got] = v[at]
+            tails[done:done + got] = bits[at + n_bits]
+            gen.take(int(at[-1] + stride if got == want else run[-1] + stride * runs[-1]))
+            done += got
     return values, tails
 
 
 def draw_symbol_frames(
     gen: KeystreamGenerator, m_bases: int, assignment: BasisAssignment, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch of next_symbol_map: (basis int64[count], polarity uint8[count]).
+    """Vectorized batch of next_symbol_map: (basis[count], polarity uint8[count]),
+    the basis in ``draw_uniform``'s narrowest unsigned dtype.
 
     Consumes the running key exactly as ``count`` calls of next_symbol_map.
     """

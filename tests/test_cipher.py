@@ -215,6 +215,23 @@ def per_draw_code_ids(gen, count):
     return out
 
 
+def per_draw_values(stream, bound, tail, count):
+    """The attempt-at-a-time draw loop over a list of stream bits: (values,
+    tail bits, bits read)."""
+    n_bits = (bound - 1).bit_length()
+    pos, values, tails = 0, [], []
+    while len(values) < count:
+        value = 0
+        for bit in stream[pos:pos + n_bits]:
+            value = 2 * value + bit
+        pos += n_bits
+        if value < bound:
+            values.append(value)
+            tails.append(stream[pos] if tail else 0)
+            pos += tail
+    return values, tails, pos
+
+
 # Uneven takes and peeks over more than three 2^18-bit refills; the peeks
 # look past the buffered bits.
 UNEVEN_READS = (
@@ -314,6 +331,23 @@ class TestBufferedKeystream:
         assert np.array_equal(basis, expected[:, 0])
         assert np.array_equal(polarity, expected[:, 1])
         assert np.array_equal(bulk.take(256), scalar.take(256))
+
+    @pytest.mark.parametrize("tail", [False, True])
+    @pytest.mark.parametrize("bound", [1, 3, 15, 255, 256, 257, 1024])
+    def test_draws_at_the_lane_boundaries(self, bound, tail):
+        # values come in the narrowest unsigned dtype holding every n-bit
+        # attempt; a 3-draw lead-in misaligns the batch that crosses a chunk
+        gen = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
+        stream = KeystreamGenerator(SeedKey.from_hex("ACE1F00D")).take(1 << 19)
+        batches = [draw_uniform(gen, bound, k, tail_bit=tail) for k in (3, _DRAW_CHUNK + 5)]
+        values, tails = (np.concatenate(column) for column in zip(*batches))
+        expected_values, expected_tails, used = per_draw_values(stream.tolist(), bound, tail,
+                                                                values.size)
+        assert values.tolist() == expected_values
+        assert tails.tolist() == expected_tails
+        assert np.array_equal(gen.take(256), stream[used:used + 256])
+        assert values.dtype.itemsize == (1 if bound <= 256 else 2)
+        assert np.iinfo(values.dtype).max >= bound - 1
 
     def test_bound_one_reads_only_the_tail_bits(self):
         # M=1 under OSK: no basis bits, so each draw is value 0 and one bit

@@ -4,7 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from y00sim.coherent_algebra import MultiModeState, StateEnsemble, inner_product
+from y00sim.coherent_algebra import (
+    MultiModeState,
+    StateEnsemble,
+    inner_product,
+    orthonormal_embedding,
+)
 from y00sim.detection import (
     DiscriminationProblem,
     guess_baseline,
@@ -92,6 +97,17 @@ class TestHelstromMixedPair:
         spec = ConstellationSpec.intensity_ladder(8, 0.05)
         problem = eve_bit_mixtures(spec, BasisAssignment("non_overlap"))
         assert helstrom_mixed_pair(problem).error_probability > 0.48
+
+    def test_a_given_embedding_gives_the_same_bounds(self):
+        # the distinct kets of either bit split are the ladder's levels
+        spec = ConstellationSpec.intensity_ladder(8, 3.0)
+        embedding = orthonormal_embedding(spec.ensemble())
+        for mode in ("osk", "non_overlap"):
+            problem = eve_bit_mixtures(spec, BasisAssignment(mode))
+            given = helstrom_mixed_pair(problem, embedding).error_probability
+            assert given == helstrom_mixed_pair(problem).error_probability
+        given = srm_error(spec.ensemble(), embedding)
+        assert given.error_probability == srm_error(spec.ensemble()).error_probability
 
 
 class TestSrmError:

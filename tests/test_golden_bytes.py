@@ -4,11 +4,14 @@ byte of any of these outputs fails here."""
 
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import y00sim
 from y00sim.cli import main as cli_main
 from y00sim.scenario import default_config
 
@@ -48,6 +51,25 @@ def test_output_bytes_match_golden_hash(tmp_path, argv, expected):
     out = tmp_path / "out.txt"
     argv = [arg.format(cfg=config_path) for arg in argv]
     assert cli_main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", ["run_default", "attacks_default"])
+def test_default_reports_match_on_one_blas_thread(tmp_path, name):
+    # The pins hold at the default BLAS thread count. At large M the SRM
+    # digits follow the thread count; the default config's must not.
+    _, argv, expected = next(g for g in GOLDEN if g[0] == name)
+    config_path = tmp_path / "demo.cfg"
+    config_path.write_text(default_config().to_text(), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    src = str(Path(y00sim.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, "-m", "y00sim.cli", *(arg.format(cfg=config_path) for arg in argv),
+         "--out", str(out)],
+        env=env, check=True, timeout=120,
+    )
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 

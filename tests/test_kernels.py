@@ -251,6 +251,35 @@ def test_lfsr_fill_matches_oracle_on_any_register(register, n):
     assert np.array_equal(fast, slow)
 
 
+@pytest.mark.parametrize("m", [43, 256, 1024])
+def test_narrow_draw_lanes_cannot_wrap_an_index(m):
+    # keyed draws come as uint8 up to M=256 and uint16 up to M=1024; from
+    # M=43 on a uint8 basis * 6 would wrap, and basis + M * high from M=128
+    _, mean_i, sigma_i, thresholds = link_levels(dict(m_bases=m))
+    cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
+    block_cuts, block_high = kernels.block_tables(cut, pattern_array())
+    rng = np.random.default_rng(m)
+    n = 20_000
+    basis = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+    polarity, bits = rng.integers(0, 2, (2, n), dtype=np.uint8)
+    code_id = rng.integers(0, 3, n)
+    high = bits ^ polarity
+    # noise on each symbol's own cut, so that a wrong row changes decisions
+    level_idx = basis + m * high.astype(np.int64)
+    z = near_cuts(cut[level_idx], rng)
+    sent = basis[:, None] + m * pattern_array()[code_id, high].astype(np.int64)
+    z3 = near_cuts(cut[sent], rng)
+    bob = kernels.bob_errors(level_idx, z, cut, high)
+    coded = kernels.coded_errors(basis, polarity, code_id, bits, z3, block_cuts, block_high)
+    assert bob > 0 and coded > 0
+    for lane in [np.uint8, np.uint16] if m <= 256 else [np.uint16]:
+        narrow_idx = kernels.level_index(basis.astype(lane), high, m)
+        assert np.array_equal(narrow_idx, level_idx)
+        assert kernels.bob_errors(narrow_idx, z, cut, high) == bob
+        assert kernels.coded_errors(basis.astype(lane), polarity, code_id.astype(lane), bits,
+                                    z3, block_cuts, block_high) == coded
+
+
 def test_kernel_names_the_benchmark_tracer_reads_exist():
     # perfbench/spans.py counts Monte Carlo items from the first argument of
     # these two kernels, and its tracer and environment record read the rest

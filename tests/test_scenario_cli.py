@@ -195,6 +195,15 @@ def test_one_gram_eigensolve_per_command(monkeypatch, command):
     assert calls == ["eigh"]
 
 
+def test_non_overlap_run_takes_one_gram_root(monkeypatch):
+    # the SRM error and the Helstrom bound share one embedding; the trace
+    # norm of the signed bit operator is the one other eigensolve
+    config = replace(default_config(), assignment="non_overlap", trials=1000)
+    calls = count_eigensolves(monkeypatch, 2 * config.m_bases)
+    run_scenario(config)
+    assert sorted(calls) == ["eigh", "eigvalsh"]
+
+
 class TestSweep:
     def test_state_error_grows_with_bases(self):
         config = small_config(
