@@ -18,6 +18,7 @@ from .scenario import (
     emit_csv,
     run_scenario,
     sweep,
+    write_text,
 )
 
 
@@ -56,35 +57,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = sys.stdout if args.out is None else args.out
     try:
         if args.command == "emit-default-config":
-            _write_output(default_config().to_text(), args.out)
+            write_text(default_config().to_text(), out)
             return 0
         config = ScenarioConfig.from_file(args.config, tuple(args.overrides))
         if args.command == "run":
-            report = run_scenario(config)
-            _write_output(report.to_text(config), args.out)
+            write_text(run_scenario(config).to_text(config), out)
         elif args.command == "sweep":
-            out = sys.stdout if args.out is None else args.out
             emit_csv(sweep(config), out)
         elif args.command == "attacks":
-            _write_output(attack_suite(config).to_text(), args.out)
+            write_text(attack_suite(config).to_text(), out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (Y00Error, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (Y00Error, OSError, MemoryError) as exc:
+        # a bare MemoryError() has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

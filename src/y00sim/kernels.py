@@ -1,8 +1,7 @@
 """Hot numeric kernels, written in numpy.
 
-``lfsr_fill`` expands the Galois LFSR keystream in 4096-bit super-blocks,
-each one lane-table gather; ``_lfsr_fill_py`` is the bit-by-bit recurrence
-it must reproduce, kept as the reference the tests compare against.
+``lfsr_fill`` expands the Galois LFSR keystream in whole 4096-bit
+super-blocks, each one lane-table gather.
 ``decision_cuts`` turns Bob's threshold decision into one cut per level, and
 the other kernels are the Monte Carlo steps of the scenario runner.
 """
@@ -14,22 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 
-def _lfsr_fill_py(state, mask, out):
-    # right-shift Galois form; output bit is the bit shifted out
-    s = int(state)
-    m = int(mask)
-    for i in range(out.shape[0]):
-        lsb = s & 1
-        s >>= 1
-        if lsb:
-            s ^= m
-        out[i] = lsb
-    return np.uint64(s)
-
-
 _BLOCK = 64           # output bits per lane word
 _LANE_JUMPS = 6       # a super-block is 2^6 words: A^4096 is jumps[6]
-SUPER_BLOCK = _BLOCK << _LANE_JUMPS  # output bits per lane-table gather
+_SUPER_BLOCK = _BLOCK << _LANE_JUMPS  # output bits per lane-table gather
 _JUMP_LEVELS = 32     # jumps A^(64 * 2^k) for k < 32: fills of up to 2^38 bits
 
 
@@ -84,37 +70,31 @@ def _lfsr_tables(mask: int, n_bytes: int) -> tuple[np.ndarray, tuple[np.ndarray,
     return lanes, tuple(jumps)
 
 
-def lfsr_fill(state, mask, out):
-    """Fill ``out`` (uint8) with the next output bits of the right-shift
-    Galois LFSR starting at ``state``; return the state after them.
+def lfsr_fill(state, mask, n_bits):
+    """The next output bits of the right-shift Galois LFSR starting at
+    ``state`` (s -> (s >> 1) ^ (mask if s & 1), emitting the bit shifted
+    out), as (bits, state after them): bits is a uint8 array of whole
+    4096-bit super-blocks, at least ``n_bits`` long.
 
-    Bit-identical to ``_lfsr_fill_py``. The step is linear over GF(2), so
-    the states at stride 4096 follow from the start by doubling with the
-    jump matrices A^(4096 * 2^k), and one gather of the lane tables maps each
-    to its 4096 output bits as 64 words (Haramoto et al., "Efficient jump
-    ahead for F2-linear random number generators", INFORMS J. Computing
-    20(3), 2008). A partial last super-block takes its words from the same
-    gather, then a binary jump and the bit-by-bit recurrence for its end.
+    The step is linear over GF(2), so the states at stride 4096 follow from
+    the start by doubling with the jump matrices A^(4096 * 2^k), and one
+    gather of the lane tables maps each to its 4096 output bits as 64 words
+    (Haramoto et al., "Efficient jump ahead for F2-linear random number
+    generators", INFORMS J. Computing 20(3), 2008).
     """
     s, m = int(state), int(mask)
     # a register of this width never sets a higher bit
     lanes, jumps = _lfsr_tables(m, max(1, (max(s.bit_length(), m.bit_length()) + 7) // 8))
-    supers, rest = divmod(out.shape[0], SUPER_BLOCK)
+    supers = -(-n_bits // _SUPER_BLOCK)
     states = np.array([s], dtype=np.uint64)
     for k in range(supers.bit_length()):
         # states[i + 2^k] = A^(4096 * 2^k) states[i]
         fresh = _apply(jumps[_LANE_JUMPS + k], states[:supers + 1 - states.size])
         states = np.concatenate([states, fresh])
-    head = out.shape[0] - out.shape[0] % _BLOCK  # bits in whole words
     # little-endian bytes, least significant bit first: output bit j of a
     # word lands at offset j of its 64
-    packed = _apply(lanes, states[:supers + (rest > 0)]).astype("<u8", copy=False)
-    out[:head] = np.unpackbits(packed.view(np.uint8), bitorder="little")[:head]
-    last = states[supers:]
-    for k in range(_LANE_JUMPS):  # past the whole words of a partial super-block
-        if rest // _BLOCK >> k & 1:
-            last = _apply(jumps[k], last)
-    return _lfsr_fill_py(last[0], m, out[head:])
+    packed = _apply(lanes, states[:supers]).astype("<u8", copy=False)
+    return np.unpackbits(packed.view(np.uint8), bitorder="little"), states[supers]
 
 
 _SIGN = np.uint64(1 << 63)

@@ -114,9 +114,8 @@ class ScenarioConfig:
 
     kind: str = _field("kind", _STR, "intensity_ladder",
                        choices=("intensity_ladder", "phase_ladder"))
-    # Every command builds and factors 2M x 2M Gram matrices. At M=1024, run
-    # and attacks each take about 9 s and 360 MB peak on a 2-vCPU VM, and
-    # these grow as M^3 and M^2.
+    # Every command builds and factors 2M x 2M Gram matrices, so time grows
+    # as M^3 and memory as M^2; the README gives the M=1024 figures.
     m_bases: int = _field("M", _INT, 16, bound=(">=", 1, 1024))
     alpha_max: float = _field("alpha_max", _FLOAT, 100.0, bound=(">", 0))
     assignment: str = _field("assignment", _STR, "osk", choices=("osk", "non_overlap"))
@@ -240,7 +239,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path, overrides: tuple[str, ...] = ()) -> "ScenarioConfig":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"), overrides)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+        return cls.from_text(text, overrides)
 
     def lines(self, keys=None) -> list[str]:
         """``key=value`` lines for ``keys`` (default: every key, in field order)."""
@@ -490,19 +493,24 @@ def sweep(config: ScenarioConfig) -> CsvSeries:
     return CsvSeries((config.sweep_variable, *columns), tuple(rows))
 
 
-def emit_csv(series: CsvSeries, destination) -> None:
-    """Write a series as UTF-8 CSV: '.' decimal, 17-significant-digit
-    scientific notation, LF line endings, header first."""
-    lines = [",".join(series.header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in series.rows)
-    text = "\n".join(lines) + "\n"
+def write_text(text: str, destination) -> None:
+    """Write ``text`` to a path (as UTF-8, line endings untranslated) or to
+    a file-like object."""
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     elif hasattr(destination, "write"):
         destination.write(text)
     else:
-        raise ParameterError(f"cannot write CSV to {destination!r}")
+        raise ParameterError(f"cannot write to {destination!r}")
+
+
+def emit_csv(series: CsvSeries, destination) -> None:
+    """Write a series as UTF-8 CSV: '.' decimal, 17-significant-digit
+    scientific notation, LF line endings, header first."""
+    lines = [",".join(series.header)]
+    lines.extend(",".join(_cell(v) for v in row) for row in series.rows)
+    write_text("\n".join(lines) + "\n", destination)
 
 
 # ---------------------------------------------------------------------------

@@ -235,12 +235,10 @@ class KeystreamGenerator:
         self._refill = _FIRST_REFILL_BITS
 
     def _generate(self, n_bits: int) -> np.ndarray:
-        """At least n_bits fresh bits of the stream, in whole LFSR super-blocks."""
+        """At least n_bits fresh bits of the stream."""
         if self.kind == "lfsr":
-            out = np.empty(-(-n_bits // kernels.SUPER_BLOCK) * kernels.SUPER_BLOCK, np.uint8)
-            self._state = int(
-                kernels.lfsr_fill(np.uint64(self._state), np.uint64(self.polynomial), out)
-            )
+            out, state = kernels.lfsr_fill(self._state, self.polynomial, n_bits)
+            self._state = int(state)
             return out
         first = self._counter
         self._counter += -(-n_bits // 256)

@@ -27,6 +27,19 @@ def fock_overlap(a: MultiModeState, b: MultiModeState) -> complex:
     return complex(total)
 
 
+def lfsr_reference(state: int, mask: int, n: int):
+    """Independent bit-by-bit recurrence of the right-shift Galois LFSR: its
+    first n output bits from ``state`` as a list, and the state after them."""
+    out = []
+    for _ in range(n):
+        lsb = state & 1
+        state >>= 1
+        if lsb:
+            state ^= mask
+        out.append(lsb)
+    return out, state
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(123456789)

@@ -6,7 +6,6 @@ import sympy
 from scipy import stats
 
 from y00sim.errors import ParameterError, SeedError
-from y00sim.kernels import _lfsr_fill_py
 from y00sim.y00_cipher import (
     LFSR_MASKS,
     _DRAW_CHUNK,
@@ -26,17 +25,7 @@ from y00sim.y00_cipher import (
     next_symbol_map,
 )
 
-
-def lfsr_reference(state: int, mask: int, n: int):
-    """Independent bit-by-bit recurrence used as the oracle."""
-    out = []
-    for _ in range(n):
-        lsb = state & 1
-        state >>= 1
-        if lsb:
-            state ^= mask
-        out.append(lsb)
-    return out, state
+from conftest import lfsr_reference
 
 
 def brute_force_maximal(width: int, masks) -> np.ndarray:
@@ -281,9 +270,8 @@ class TestBufferedKeystream:
     def test_lfsr_refills_match_recurrence_at_every_width(self, width):
         seed = (0x9E3779B97F4A7C15 >> (64 - width)) | 1
         gen = KeystreamGenerator(SeedKey.from_int(seed, width))
-        expected = np.empty(UNEVEN_READS_SPAN, dtype=np.uint8)
-        _lfsr_fill_py(np.uint64(seed), np.uint64(LFSR_MASKS[width]), expected)
-        read_unevenly(gen, expected)
+        expected, _ = lfsr_reference(seed, LFSR_MASKS[width], UNEVEN_READS_SPAN)
+        read_unevenly(gen, np.array(expected, dtype=np.uint8))
 
     def test_counter_hash_refills_match_digests(self):
         gen = KeystreamGenerator(SeedKey.from_hex("1234ABCD"), kind="counter_hash")

@@ -10,10 +10,11 @@ from y00sim.overlap_coding import pattern_array
 from y00sim.scenario import ScenarioConfig, _eve_cuts, _link_tables
 from y00sim.y00_cipher import LFSR_MASKS, ConstellationSpec
 
-# around the 64-bit word, the 4096-bit super-block, two super-blocks and
-# the 2^18-bit keystream refill, and one fill across several refills
-LENGTHS = (0, 1, 63, 64, 65, 4095, 4096, 4097, 8191, 8192, 8193, 70_001,
-           262_143, 262_144, 262_145, 3 * (1 << 18) + 4161)
+from conftest import lfsr_reference
+
+SUPER_BLOCK = 4096  # lfsr_fill returns whole super-blocks of this many bits
+# fill requests of 0 to 4 super-blocks: around a word, a block, two blocks
+LENGTHS = (0, 1, 64, 4095, 4096, 4097, 8192, 8193, 12_289, 4 * SUPER_BLOCK)
 
 
 def srm_outcomes(cdf, level_idx, u, chunk=4096):
@@ -185,33 +186,36 @@ def test_one_cut_kernels_match_the_float_decisions(link):
 
 class TestLfsrSemantics:
     def test_output_is_shifted_out_bit(self):
-        # one step by hand: state 0b10 -> emits 0, halves; state 0b1 -> emits
-        # 1 and folds the mask in
-        out = np.empty(2, dtype=np.uint8)
-        final = kernels.lfsr_fill(np.uint64(0b10), np.uint64(0b100000), out)
-        assert list(out) == [0, 1]
-        assert int(final) == 0b100000 ^ 0b0
+        # by hand: state 0b10 emits 0 and halves; 0b1 emits 1 and folds the
+        # mask in, to 0b100000, which then cycles through 6 states emitting
+        # 0,0,0,0,0,1; after 4096 = 2 + 6 * 682 + 2 steps it is at 0b1000
+        bits, final = kernels.lfsr_fill(0b10, 0b100000, 2)
+        assert bits.size == SUPER_BLOCK
+        assert list(bits[:14]) == [0, 1] + [0, 0, 0, 0, 0, 1] * 2
+        assert int(final) == 0b1000
 
     def test_zero_state_stays_zero(self):
-        out = np.empty(8, dtype=np.uint8)
-        final = kernels.lfsr_fill(np.uint64(0), np.uint64(0xB400), out)
+        bits, final = kernels.lfsr_fill(0, 0xB400, 8)
         assert int(final) == 0
-        assert not out.any()
+        assert bits.size == SUPER_BLOCK and not bits.any()
 
 
-def assert_matches_oracle(state, mask):
-    """The super-block kernel against the bit-by-bit recurrence, at every
-    length of LENGTHS. The recurrence runs once, to the longest length, and
-    stops at each shorter one for the state there."""
-    slow = np.empty(LENGTHS[-1], dtype=np.uint8)
-    slow_state, done = np.uint64(state), 0
-    for n in LENGTHS:
-        slow_state = kernels._lfsr_fill_py(slow_state, np.uint64(mask), slow[done:n])
-        done = n
-        fast = np.empty(n, dtype=np.uint8)
-        fast_state = kernels.lfsr_fill(np.uint64(state), np.uint64(mask), fast)
-        assert int(fast_state) == int(slow_state), n
-        assert np.array_equal(fast, slow[:n]), n
+def assert_matches_oracle(state, mask, lengths=LENGTHS):
+    """The super-block kernel against the bit-by-bit recurrence: a request
+    for n bits gets the first whole super-blocks holding them, and the state
+    after those blocks. The recurrence runs one block at a time, up to the
+    most blocks asked for, keeping the state at each block boundary."""
+    blocks = [-(-n // SUPER_BLOCK) for n in lengths]
+    slow, states = [], [state]
+    for _ in range(max(blocks)):
+        bits, after = lfsr_reference(states[-1], mask, SUPER_BLOCK)
+        slow += bits
+        states.append(after)
+    for n, k in zip(lengths, blocks):
+        fast, fast_state = kernels.lfsr_fill(state, mask, n)
+        assert fast.dtype == np.uint8 and fast.size == k * SUPER_BLOCK, n
+        assert np.array_equal(fast, slow[:fast.size]), n
+        assert int(fast_state) == states[k], n
 
 
 @pytest.mark.parametrize("width", sorted(LFSR_MASKS))
@@ -240,15 +244,9 @@ def registers(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(registers(), st.integers(0, 3 * kernels.SUPER_BLOCK + 130))
+@given(registers(), st.integers(0, 4 * SUPER_BLOCK))
 def test_lfsr_fill_matches_oracle_on_any_register(register, n):
-    state, mask = register
-    fast = np.empty(n, dtype=np.uint8)
-    slow = np.empty(n, dtype=np.uint8)
-    fast_state = kernels.lfsr_fill(np.uint64(state), np.uint64(mask), fast)
-    slow_state = kernels._lfsr_fill_py(np.uint64(state), np.uint64(mask), slow)
-    assert int(fast_state) == int(slow_state)
-    assert np.array_equal(fast, slow)
+    assert_matches_oracle(*register, lengths=(n,))
 
 
 @pytest.mark.parametrize("m", [43, 256, 1024])

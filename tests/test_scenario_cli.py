@@ -1,3 +1,4 @@
+import io
 import threading
 from dataclasses import fields, replace
 
@@ -267,6 +268,16 @@ class TestEmitCsv(object):
         emit_csv(series, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_writes_to_a_path_or_a_file_like_object_only(self, tmp_path):
+        series = CsvSeries(("x",), ((1.5,),))
+        path = tmp_path / "series.csv"
+        emit_csv(series, str(path))
+        buffer = io.StringIO()
+        emit_csv(series, buffer)
+        assert buffer.getvalue().encode() == path.read_bytes() == b"x\n1.5000000000000000e+00\n"
+        with pytest.raises(ParameterError):
+            emit_csv(series, 42)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ParameterError):
             CsvSeries(("a", "b"), ((1,),))
@@ -471,6 +482,31 @@ class TestCli:
 
     def test_missing_file_is_runtime_error(self, capsys):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 1
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError(),
+        MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, exc):
+        def out_of_memory(config):
+            raise exc
+
+        monkeypatch.setattr("y00sim.cli.run_scenario", out_of_memory)
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text("")
+        assert cli_main(["run", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err[len("error: "):].strip()
+
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "bad.cfg"
+        config_path.write_bytes(b"\xff\xfeM=4\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            ScenarioConfig.from_file(config_path)
+        assert cli_main(["run", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(config_path) in err
 
     def test_sweep_writes_csv(self, tmp_path):
         config_path = tmp_path / "scenario.cfg"
