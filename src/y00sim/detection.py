@@ -109,10 +109,11 @@ def srm_error(ensemble: StateEnsemble, embedding: Optional[np.ndarray] = None) -
     state i with probability |S_ji|^2, so state i is identified with
     probability |S_ii|^2 and the average error is 1 - (1/N) sum_i |S_ii|^2.
     For two symmetric pure states this equals the Helstrom limit; for N
-    identical states it degrades to pure guessing. ``confusion`` holds
-    P[i, j] = |S_ji|^2 with rows renormalized to sum to exactly 1, which
-    absorbs the rounding lost with near-singular Gram matrices. A given
-    ``embedding`` (S, the ensemble's orthonormal_embedding) saves the root.
+    identical states it degrades to guessing, (N-1)/N, which also caps it
+    (tr S >= sqrt(N), so sum_i |S_ii|^2 >= 1). ``confusion`` holds P[i, j] =
+    |S_ji|^2 with rows renormalized to sum to exactly 1, which absorbs the
+    rounding lost with near-singular Gram matrices. A given ``embedding``
+    (S, the ensemble's orthonormal_embedding) saves the root.
     """
     n = len(ensemble)
     if np.max(np.abs(ensemble.priors - 1.0 / n)) > 1e-12:
@@ -123,7 +124,7 @@ def srm_error(ensemble: StateEnsemble, embedding: Optional[np.ndarray] = None) -
     error = 1.0 - float(per_state.mean())
     p = np.abs(s.T) ** 2
     return DetectionReport(
-        error_probability=min(max(error, 0.0), 1.0),
+        error_probability=min(max(error, 0.0), (n - 1) / n),
         per_state_correct=tuple(float(c) for c in per_state),
         confusion=p / p.sum(axis=1, keepdims=True),
     )

@@ -356,7 +356,8 @@ def _link_fault(values: dict, spec: ConstellationSpec) -> Optional[str]:
     """Why the link with ``LinkParams`` fields ``values`` is unusable on
     ``spec``, or None: a value out of its range or, on an intensity ladder,
     a level current or noise or a basis threshold or BER that is not finite
-    in double precision."""
+    in double precision, or a noise-free basis (analytic BER 0) whose
+    threshold does not split its off and on currents."""
     try:
         params = LinkParams(**values)
     except ParameterError as exc:
@@ -369,9 +370,16 @@ def _link_fault(values: dict, spec: ConstellationSpec) -> Optional[str]:
     except (ArithmeticError, ParameterError) as exc:
         fault = str(exc) or type(exc).__name__
     else:
-        if all(np.isfinite(table).all() for table in tables):
+        mean_i, sigma_i, thresholds, _ = tables
+        m = spec.m_bases
+        noise_free = sigma_i[:m] + sigma_i[m:] == 0
+        split = (mean_i[:m] <= thresholds) & (thresholds < mean_i[m:])
+        if not all(np.isfinite(table).all() for table in tables):
+            fault = "a current, noise or threshold is not finite"
+        elif (noise_free & ~split).any():
+            fault = "a noise-free basis's threshold does not split its currents"
+        else:
             return None
-        fault = "a current, noise or threshold is not finite"
     return f"the link budget is out of double-precision range ({fault})"
 
 

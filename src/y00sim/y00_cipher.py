@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class SeedKey:
         return len(self.bits)
 
     def to_int(self) -> int:
-        return _bits_to_int(self.bits)
+        return int("".join("01"[b] for b in self.bits), 2)
 
     def to_hex(self) -> str:
         if self.n % 4:
@@ -364,32 +364,6 @@ class SymbolFrame:
     transmitted_level: int
 
 
-def _bits_to_int(bits: Iterable[int]) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
-def next_symbol_map(
-    gen: KeystreamGenerator, m_bases: int, assignment: BasisAssignment
-) -> tuple[int, int]:
-    """Consume the running key for one symbol: (basis_index, polarity).
-
-    Reads ceil(log2 M) bits per attempt, rejecting values >= M so the basis
-    is uniform, then one polarity bit in OSK mode.
-    """
-    if m_bases < 1:
-        raise ParameterError("need at least one basis")
-    n_bits = (m_bases - 1).bit_length()
-    while True:
-        candidate = _bits_to_int(gen.take(n_bits)) if n_bits else 0
-        if candidate < m_bases:
-            break
-    polarity = int(gen.take(1)[0]) if assignment.mode == "osk" else 0
-    return candidate, polarity
-
-
 def _decode(windows: np.ndarray, n_bits: int, lane) -> np.ndarray:
     """The value of each row's first ``n_bits`` >= 1 bits, first bit most significant."""
     v = windows[:, 0].astype(lane)
@@ -475,12 +449,22 @@ def draw_uniform(
 def draw_symbol_frames(
     gen: KeystreamGenerator, m_bases: int, assignment: BasisAssignment, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch of next_symbol_map: (basis[count], polarity uint8[count]),
-    the basis in ``draw_uniform``'s narrowest unsigned dtype.
+    """The keyed frames of ``count`` symbols: (basis[count], polarity
+    uint8[count]), the basis in ``draw_uniform``'s narrowest unsigned dtype.
 
-    Consumes the running key exactly as ``count`` calls of next_symbol_map.
+    Each symbol reads ceil(log2 M) bits per attempt, rejecting values >= M
+    so the basis is uniform, then one polarity bit in OSK mode.
     """
     return draw_uniform(gen, m_bases, count, tail_bit=assignment.mode == "osk")
+
+
+def next_symbol_map(
+    gen: KeystreamGenerator, m_bases: int, assignment: BasisAssignment
+) -> tuple[int, int]:
+    """Consume the running key for one symbol: (basis_index, polarity), the
+    single draw of ``draw_symbol_frames``."""
+    basis, polarity = draw_symbol_frames(gen, m_bases, assignment, 1)
+    return int(basis[0]), int(polarity[0])
 
 
 def alice_encode(
@@ -501,22 +485,21 @@ def alice_encode(
     return SymbolFrame(basis_index, polarity, data_bit, level)
 
 
-def bob_decode(
-    received_amplitude: float, frame_params: tuple[int, int], spec: ConstellationSpec
-) -> int:
-    """Keyed demodulation of an amplitude estimate.
+def bob_decode(received_amplitude, frame_params, spec: ConstellationSpec):
+    """Keyed demodulation of amplitude estimates: scalars, or arrays of one
+    shape with ``frame_params`` a (basis_indices, polarities) pair of arrays.
 
     Thresholds at the midpoint of the two basis amplitudes; a value exactly
     on the threshold resolves to the lower level. The polarity bit then
     undoes the bit map, so a noiseless round trip is the identity.
     """
-    basis_index, polarity = frame_params
-    low, high = spec.basis_pair(basis_index)
-    if spec.kind != "intensity_ladder":
-        raise ParameterError("amplitude demodulation is defined for the intensity ladder")
-    threshold = (low.modes[0].real + high.modes[0].real) / 2.0
-    decided_high = 1 if received_amplitude > threshold else 0
-    return decided_high ^ polarity
+    basis, polarity = (np.asarray(p, dtype=np.intp) for p in frame_params)
+    amps = spec.level_amplitudes()
+    # numpy would wrap a negative index round to the upper levels
+    if ((basis < 0) | (basis >= spec.m_bases)).any():
+        raise ParameterError(f"basis index out of range 0..{spec.m_bases - 1}")
+    threshold = (amps[basis] + amps[basis + spec.m_bases]) / 2.0
+    return (received_amplitude > threshold) ^ polarity
 
 
 def eve_bit_mixtures(
@@ -571,12 +554,13 @@ def key_expansion_session(
 ) -> SessionResult:
     """Accumulate key material by repeatedly shipping fresh random blocks.
 
-    Each round draws a true-random block as long as the seed, sends it
-    through the keyed encode/decode chain (with an optional symmetric
-    bit-flip channel at rate ``channel_ber``), and then refreshes the seed
-    with the transmitted block. Rounds where Bob's copy differs are
-    flagged; the refresh uses the transmitted block so that a flagged round
-    models a retransmission rather than a desynchronized stream.
+    Each round draws a true-random block as long as the seed, sends it on
+    the levels keyed by the running key, decides it with Bob's copy of the
+    key (past an optional bit-flip channel at rate ``channel_ber``), and
+    then refreshes the seed with the transmitted block. Rounds where Bob's
+    copy differs are flagged; the refresh uses the transmitted block so
+    that a flagged round models a retransmission rather than a
+    desynchronized stream.
     """
     if rounds < 1:
         raise ParameterError("need at least one round")
@@ -584,34 +568,24 @@ def key_expansion_session(
         raise ParameterError("channel_ber must lie in [0, 1]")
     if spec is None:
         spec = ConstellationSpec.intensity_ladder(2, 4.0)
-    n = initial_seed.n
+    amps, m, n = spec.level_amplitudes(), spec.m_bases, initial_seed.n
     seed = initial_seed
-    alice_key: list[int] = []
-    bob_key: list[int] = []
-    mismatched = []
-    round_seeds = []
+    alice_key, bob_key, mismatched, round_seeds = [], [], [], []
     for r in range(rounds):
         round_seeds.append(seed.bits)
         while True:
             block = randomness.integers(0, 2, size=n, dtype=np.uint8)
             if block.any():
                 break  # an all-zero block cannot reseed the register
-        alice_gen = KeystreamGenerator(seed, kind="lfsr")
-        bob_gen = KeystreamGenerator(seed, kind="lfsr")
-        received = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            frame_params = next_symbol_map(alice_gen, spec.m_bases, assignment)
-            frame = alice_encode(int(block[i]), frame_params, spec)
-            amplitude = spec.levels[frame.transmitted_level - 1].modes[0].real
-            bob_params = next_symbol_map(bob_gen, spec.m_bases, assignment)
-            received[i] = bob_decode(amplitude, bob_params, spec)
+        basis, polarity = draw_symbol_frames(KeystreamGenerator(seed), m, assignment, n)
+        sent = amps[kernels.level_index(basis, block ^ polarity, m)]
+        bob_frames = draw_symbol_frames(KeystreamGenerator(seed), m, assignment, n)
+        received = bob_decode(sent, bob_frames, spec)
         if channel_ber > 0.0:
-            received ^= (randomness.random(n) < channel_ber).astype(np.uint8)
+            received ^= randomness.random(n) < channel_ber
         if not np.array_equal(received, block):
             mismatched.append(r)
-        alice_key.extend(int(b) for b in block)
-        bob_key.extend(int(b) for b in received)
-        seed = SeedKey(tuple(int(b) for b in block))
-    return SessionResult(
-        tuple(alice_key), tuple(bob_key), tuple(mismatched), tuple(round_seeds)
-    )
+        alice_key.extend(block.tolist())
+        bob_key.extend(received.tolist())
+        seed = SeedKey(tuple(block.tolist()))
+    return SessionResult(tuple(alice_key), tuple(bob_key), tuple(mismatched), tuple(round_seeds))

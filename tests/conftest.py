@@ -40,6 +40,25 @@ def lfsr_reference(state: int, mask: int, n: int):
     return out, state
 
 
+def per_draw_values(stream, bound, tail, count):
+    """Independent attempt-at-a-time keyed draw loop over a list of stream
+    bits: each attempt reads ceil(log2 bound) bits, first most significant,
+    and is rejected if >= bound; with ``tail`` one more bit follows each
+    accepted value. Returns (values, tail bits, bits read)."""
+    n_bits = (bound - 1).bit_length()
+    pos, values, tails = 0, [], []
+    while len(values) < count:
+        value = 0
+        for bit in stream[pos:pos + n_bits]:
+            value = 2 * value + bit
+        pos += n_bits
+        if value < bound:
+            values.append(value)
+            tails.append(stream[pos] if tail else 0)
+            pos += tail
+    return values, tails, pos
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(123456789)

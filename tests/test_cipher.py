@@ -25,7 +25,7 @@ from y00sim.y00_cipher import (
     next_symbol_map,
 )
 
-from conftest import lfsr_reference
+from conftest import lfsr_reference, per_draw_values
 
 
 def brute_force_maximal(width: int, masks) -> np.ndarray:
@@ -184,41 +184,19 @@ class TestSymbolMap:
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_bulk_frames_match_scalar_path(self):
+        # one batch and one next_symbol_map per symbol both follow the
+        # attempt-at-a-time oracle
+        stream = KeystreamGenerator(SeedKey.from_hex("ACE1")).take(4096)
         for m in (1, 3, 4, 8):
             bulk_gen = KeystreamGenerator(SeedKey.from_hex("ACE1"))
-            scalar_gen = KeystreamGenerator(SeedKey.from_hex("ACE1"))
+            single_gen = KeystreamGenerator(SeedKey.from_hex("ACE1"))
             basis, polarity = draw_symbol_frames(bulk_gen, m, BasisAssignment("osk"), 200)
-            for i in range(200):
-                b, p = next_symbol_map(scalar_gen, m, BasisAssignment("osk"))
-                assert (b, p) == (basis[i], polarity[i])
-
-
-def per_draw_code_ids(gen, count):
-    """The attempt-at-a-time code-id loop: 2 bits per attempt, 3 rejected."""
-    out = []
-    while len(out) < count:
-        two = gen.take(2)
-        value = (int(two[0]) << 1) | int(two[1])
-        if value < 3:
-            out.append(value)
-    return out
-
-
-def per_draw_values(stream, bound, tail, count):
-    """The attempt-at-a-time draw loop over a list of stream bits: (values,
-    tail bits, bits read)."""
-    n_bits = (bound - 1).bit_length()
-    pos, values, tails = 0, [], []
-    while len(values) < count:
-        value = 0
-        for bit in stream[pos:pos + n_bits]:
-            value = 2 * value + bit
-        pos += n_bits
-        if value < bound:
-            values.append(value)
-            tails.append(stream[pos] if tail else 0)
-            pos += tail
-    return values, tails, pos
+            singles = [next_symbol_map(single_gen, m, BasisAssignment("osk")) for _ in range(200)]
+            values, tails, used = per_draw_values(stream.tolist(), m, True, 200)
+            assert basis.tolist() == values and polarity.tolist() == tails
+            assert singles == list(zip(values, tails))
+            for gen in (bulk_gen, single_gen):
+                assert np.array_equal(gen.take(256), stream[used:used + 256])
 
 
 # Uneven takes and peeks over more than three 2^18-bit refills; the peeks
@@ -293,14 +271,13 @@ class TestBufferedKeystream:
         # can run out of accepted draws, the large one crosses a peek chunk
         assignment = BasisAssignment(mode)
         bulk = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
-        scalar = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
+        stream = KeystreamGenerator(SeedKey.from_hex("ACE1F00D")).take(1 << 19)[7:]
         bulk.take(7)
-        scalar.take(7)
         batches = [draw_symbol_frames(bulk, m, assignment, k) for k in [1] * 40 + [19_960]]
         basis, polarity = (np.concatenate(column) for column in zip(*batches))
-        expected = [next_symbol_map(scalar, m, assignment) for _ in range(20_000)]
-        assert [tuple(map(int, bp)) for bp in zip(basis, polarity)] == expected
-        assert np.array_equal(bulk.take(256), scalar.take(256))
+        values, tails, used = per_draw_values(stream.tolist(), m, mode == "osk", 20_000)
+        assert basis.tolist() == values and polarity.tolist() == tails
+        assert np.array_equal(bulk.take(256), stream[used:used + 256])
 
     @pytest.mark.parametrize("count", [_DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1])
     @pytest.mark.parametrize("mode", ["osk", "non_overlap"])
@@ -311,14 +288,12 @@ class TestBufferedKeystream:
         # past a chunk of draws
         assignment = BasisAssignment(mode)
         bulk = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
-        scalar = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
+        stream = KeystreamGenerator(SeedKey.from_hex("ACE1F00D")).take(1 << 19)[5:]
         bulk.take(5)
-        scalar.take(5)
         basis, polarity = draw_symbol_frames(bulk, m, assignment, count)
-        expected = np.array([next_symbol_map(scalar, m, assignment) for _ in range(count)])
-        assert np.array_equal(basis, expected[:, 0])
-        assert np.array_equal(polarity, expected[:, 1])
-        assert np.array_equal(bulk.take(256), scalar.take(256))
+        values, tails, used = per_draw_values(stream.tolist(), m, mode == "osk", count)
+        assert basis.tolist() == values and polarity.tolist() == tails
+        assert np.array_equal(bulk.take(256), stream[used:used + 256])
 
     @pytest.mark.parametrize("tail", [False, True])
     @pytest.mark.parametrize("bound", [1, 3, 15, 255, 256, 257, 1024])
@@ -350,10 +325,12 @@ class TestBufferedKeystream:
     def test_bulk_code_ids_leave_the_per_draw_state(self, kind):
         from y00sim.scenario import _draw_code_ids
 
+        # 2 bits per attempt, value 3 rejected
         bulk = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"), kind=kind)
-        scalar = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"), kind=kind)
-        assert list(_draw_code_ids(bulk, 20_000)) == per_draw_code_ids(scalar, 20_000)
-        assert np.array_equal(bulk.take(256), scalar.take(256))
+        stream = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"), kind=kind).take(1 << 16)
+        values, _, used = per_draw_values(stream.tolist(), 3, False, 20_000)
+        assert _draw_code_ids(bulk, 20_000).tolist() == values
+        assert np.array_equal(bulk.take(256), stream[used:used + 256])
 
 
 class TestEncodeDecode:
@@ -388,6 +365,24 @@ class TestEncodeDecode:
                     frame = alice_encode(bit, (basis, polarity), spec)
                     amplitude = spec.levels[frame.transmitted_level - 1].modes[0].real
                     assert bob_decode(amplitude, (basis, polarity), spec) == bit
+
+    def test_arrays_decode_per_symbol(self, rng):
+        spec = ConstellationSpec.intensity_ladder(5, 10.0)
+        amplitude = rng.uniform(0.0, 10.0, 500)
+        basis = rng.integers(0, 5, 500, dtype=np.uint8)
+        polarity = rng.integers(0, 2, 500, dtype=np.uint8)
+        expected = [
+            int(a > (spec.levels[b].modes[0].real + spec.levels[b + 5].modes[0].real) / 2) ^ p
+            for a, b, p in zip(amplitude, basis.tolist(), polarity.tolist())
+        ]
+        assert bob_decode(amplitude, (basis, polarity), spec).tolist() == expected
+
+    @pytest.mark.parametrize("basis", [-1, 4, [0, -1], [3, 4]])
+    def test_basis_out_of_range_rejected(self, basis):
+        # numpy would read index -1 as the top level
+        spec = ConstellationSpec.intensity_ladder(4, 4.0)
+        with pytest.raises(ParameterError, match="out of range"):
+            bob_decode(np.ones(np.shape(basis)), (basis, np.zeros_like(basis)), spec)
 
     def test_midpoint_resolves_to_lower_level(self):
         spec = ConstellationSpec.intensity_ladder(2, 4.0)
@@ -465,6 +460,34 @@ class TestKeyExpansion:
         expected = 1 - (1 - p) ** 16
         stderr = np.sqrt(expected * (1 - expected) / rounds)
         assert abs(result.mismatch_count / rounds - expected) < 3 * stderr
+
+    # (seed, M, assignment, channel_ber, rounds, randomness seed): the mismatch
+    # count and the leading 16 hex digits of the SHA-256 of the result's fields,
+    # as recorded from the earlier symbol-at-a-time session loop
+    SESSION_PINS = [
+        (("ACE1", 1, "osk", 0.0, 40, 1), 0, "bade13e947d9e0e4"),
+        (("ACE1", 2, "osk", 0.01, 1000, 77), 153, "09736a848af3d7a4"),
+        (("ACE1F00D", 8, "non_overlap", 0.05, 200, 3), 176, "5699655964829800"),
+        (("1234ABCD", 15, "osk", 0.2, 100, 4), 100, "3dab470e3e3a2aa7"),
+        (("ACE1", 17, "non_overlap", 0.0, 100, 5), 0, "90b8ad12d5b23bed"),
+        (("9E3779B9", 17, "osk", 0.1, 300, 6), 291, "882da4f55bb7092d"),
+    ]
+
+    @pytest.mark.parametrize("case, mismatches, digest", SESSION_PINS)
+    def test_session_results_are_pinned(self, case, mismatches, digest):
+        seed, m, mode, ber, rounds, randomness = case
+        result = key_expansion_session(
+            SeedKey.from_hex(seed), rounds, np.random.default_rng(randomness), ber,
+            ConstellationSpec.intensity_ladder(m, 10.0), BasisAssignment(mode),
+        )
+        fields = (result.alice_key, result.bob_key, result.mismatched_rounds, result.round_seeds)
+        assert result.mismatch_count == mismatches
+        assert hashlib.sha256(repr(fields).encode()).hexdigest()[:16] == digest
+
+    def test_phase_ladder_has_no_amplitude_decision(self):
+        with pytest.raises(ParameterError):
+            key_expansion_session(SeedKey.from_hex("ACE1"), 1, np.random.default_rng(1),
+                                  spec=ConstellationSpec.phase_ladder(2, 4.0))
 
 
 class TestConstellationSpec:

@@ -145,6 +145,16 @@ class TestSrmError:
             error = srm_error(StateEnsemble.uniform(states)).error_probability
             assert 0.0 <= error <= (n - 1) / n + 1e-12
 
+    @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+    def test_tiny_peaks_never_beat_guessing(self, kind):
+        # tr sqrt(G) >= sqrt(N) gives sum_i S_ii^2 >= 1, so the error is at
+        # most (N-1)/N; nearly identical kets used to round past it
+        for m in (1, 2, 3, 4, 16):
+            for alpha in (1e-8, 1e-7, 1e-6):
+                spec = getattr(ConstellationSpec, kind)(m, alpha)
+                error = srm_error(spec.ensemble()).error_probability
+                assert error <= guess_baseline(2 * m), (m, alpha)
+
     def test_requires_uniform_priors(self):
         ens = StateEnsemble((single(0.0), single(1.0)), np.array([0.7, 0.3]))
         with pytest.raises(ParameterError):

@@ -399,6 +399,39 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
     @pytest.mark.parametrize(
+        "n_mean, noise, code",
+        [
+            # no noise, so the analytic BER is 0, but a basis's two currents
+            # round to one value (995 of 2000 symbols were wrong) or its
+            # threshold onto the on current (78 wrong)
+            ("1e-320", "0", 2),
+            ("5e-305", "0", 2),
+            # noise-free with every basis split: no errors, as the analytic 0 says
+            ("1e-300", "0", 0),
+            # merged currents under thermal noise: analytic and Monte Carlo both 1/2
+            ("1e-320", "1e-13", 0),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_noise_free_link_must_split_every_basis(self, tmp_path, capsys, n_mean, noise, code):
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(default_config().to_text())
+        argv = ["run", str(config_path), "--set", "kappa_r=1", "--set", "G_p=1",
+                "--set", f"I_th_var={noise}", "--set", f"n_mean={n_mean}",
+                "--set", "trials=2000"]
+        assert cli_main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert err.startswith("config error: ") and "n_mean" in err.split(":")[1]
+            return
+        cells = dict(line.split("=", 1) for line in out.splitlines()[1:])
+        for name in ("bob_ber", "block_error"):
+            analytic = float(cells[f"{name}_analytic"])
+            assert analytic == (0.0 if noise == "0" else 0.5)
+            spread = 4 * float(cells[f"{name}_stderr"])
+            assert abs(float(cells[f"{name}_montecarlo"]) - analytic) <= spread
+
+    @pytest.mark.parametrize(
         "command, kind, alpha_max, code",
         [
             ("run", "intensity_ladder", "1e10", 2),
