@@ -68,13 +68,10 @@ from .y00_cipher import (
     KeystreamGenerator,
     SeedKey,
     SessionResult,
-    SymbolFrame,
-    alice_encode,
     bob_decode,
     draw_symbol_frames,
     eve_bit_mixtures,
     key_expansion_session,
-    next_symbol_map,
 )
 
 __version__ = "0.1.0"

@@ -261,7 +261,6 @@ class LossySharedState:
     eta: float
     matrix: np.ndarray
     kappa_a: float
-    kappa_b: float
     loss_overlap: float
     printed_loss: float
     _psi2_coords: np.ndarray
@@ -301,7 +300,6 @@ def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:
     u_vec = v[:, 1]  # |alpha, -alpha>
     w_vec = v[:, 2]  # |-alpha, alpha>
 
-    kappa_b = math.exp(-2.0 * a * a / eta)
     loss_overlap = math.exp(-2.0 * (1.0 - eta) * a * a / eta)
     printed_loss = math.exp(-4.0 * (1.0 - eta) * a * a)
 
@@ -319,7 +317,6 @@ def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:
         eta=float(eta),
         matrix=rho,
         kappa_a=kappa_a,
-        kappa_b=kappa_b,
         loss_overlap=loss_overlap,
         printed_loss=printed_loss,
         _psi2_coords=psi2,

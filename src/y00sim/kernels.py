@@ -166,8 +166,7 @@ def block_tables(cut, patterns):
     and whether each is the basis's high level."""
     m = cut.size // 2
     high = np.broadcast_to(patterns.astype(bool), (m, 3, 2, 3)).reshape(6 * m, 3)
-    level_idx = np.repeat(np.arange(m), 6)[:, None] + m * high
-    return cut[level_idx], high
+    return cut[level_index(np.repeat(np.arange(m), 6)[:, None], high, m)], high
 
 
 def coded_errors(basis, polarity, code_id, bits, z, block_cuts, block_high):

@@ -368,7 +368,8 @@ def _link_fault(values: dict, spec: ConstellationSpec) -> Optional[str]:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             tables = _link_tables(params, spec)
     except (ArithmeticError, ParameterError) as exc:
-        fault = str(exc) or type(exc).__name__
+        # an OverflowError from a float ** carries (errno, message)
+        fault = str(exc.args[-1] if exc.args else "") or type(exc).__name__
     else:
         mean_i, sigma_i, thresholds, _ = tables
         m = spec.m_bases

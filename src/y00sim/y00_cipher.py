@@ -1,6 +1,6 @@
 """The Y-00 cipher layer: keystream generation, keyed basis selection with
-overlap selection keying (OSK), encode/decode for the legitimate pair, the
-eavesdropper's induced state mixtures, and the key-expansion session loop.
+overlap selection keying (OSK), the eavesdropper's induced state mixtures,
+and the key-expansion session loop.
 
 The constellation is a ladder of 2M intensity levels alpha_i = alpha_max *
 i / (2M); basis j pairs level j with level j+M, and under OSK the running
@@ -353,17 +353,6 @@ class ConstellationSpec:
         return StateEnsemble.uniform(self.levels)
 
 
-@dataclass(frozen=True)
-class SymbolFrame:
-    """One keyed symbol: which basis, which polarity map, which data bit,
-    and the resulting transmitted level (1-based)."""
-
-    basis_index: int
-    polarity: int
-    data_bit: int
-    transmitted_level: int
-
-
 def _decode(windows: np.ndarray, n_bits: int, lane) -> np.ndarray:
     """The value of each row's first ``n_bits`` >= 1 bits, first bit most significant."""
     v = windows[:, 0].astype(lane)
@@ -458,40 +447,14 @@ def draw_symbol_frames(
     return draw_uniform(gen, m_bases, count, tail_bit=assignment.mode == "osk")
 
 
-def next_symbol_map(
-    gen: KeystreamGenerator, m_bases: int, assignment: BasisAssignment
-) -> tuple[int, int]:
-    """Consume the running key for one symbol: (basis_index, polarity), the
-    single draw of ``draw_symbol_frames``."""
-    basis, polarity = draw_symbol_frames(gen, m_bases, assignment, 1)
-    return int(basis[0]), int(polarity[0])
-
-
-def alice_encode(
-    data_bit: int, frame_params: tuple[int, int], spec: ConstellationSpec
-) -> SymbolFrame:
-    """Map a data bit onto a level of the keyed basis.
-
-    Polarity 0 sends bit 0 on the lower level (basis_index + 1) and bit 1 on
-    the upper (basis_index + 1 + M); polarity 1 swaps the two.
-    """
-    basis_index, polarity = frame_params
-    if not 0 <= basis_index < spec.m_bases:
-        raise ParameterError(f"basis index {basis_index} out of range")
-    if data_bit not in (0, 1) or polarity not in (0, 1):
-        raise ParameterError("data bit and polarity must be 0 or 1")
-    high = data_bit ^ polarity
-    level = basis_index + 1 + spec.m_bases * high
-    return SymbolFrame(basis_index, polarity, data_bit, level)
-
-
 def bob_decode(received_amplitude, frame_params, spec: ConstellationSpec):
     """Keyed demodulation of amplitude estimates: scalars, or arrays of one
     shape with ``frame_params`` a (basis_indices, polarities) pair of arrays.
 
     Thresholds at the midpoint of the two basis amplitudes; a value exactly
     on the threshold resolves to the lower level. The polarity bit then
-    undoes the bit map, so a noiseless round trip is the identity.
+    undoes the bit map, so a symbol sent noiselessly on its
+    ``kernels.level_index`` level decodes to its data bit.
     """
     basis, polarity = (np.asarray(p, dtype=np.intp) for p in frame_params)
     amps = spec.level_amplitudes()

@@ -6,6 +6,7 @@ import sympy
 from scipy import stats
 
 from y00sim.errors import ParameterError, SeedError
+from y00sim.kernels import level_index
 from y00sim.y00_cipher import (
     LFSR_MASKS,
     _DRAW_CHUNK,
@@ -15,14 +16,12 @@ from y00sim.y00_cipher import (
     SeedKey,
     _is_prime,
     _prime_factors,
-    alice_encode,
     bob_decode,
     draw_symbol_frames,
     draw_uniform,
     eve_bit_mixtures,
     is_maximal_lfsr,
     key_expansion_session,
-    next_symbol_map,
 )
 
 from conftest import lfsr_reference, per_draw_values
@@ -157,17 +156,14 @@ class TestSymbolMap:
     def test_single_basis_uses_only_polarity(self):
         gen = KeystreamGenerator(SeedKey.from_hex("ACE1"))
         reference = KeystreamGenerator(SeedKey.from_hex("ACE1"))
-        expected_polarities = reference.take(10)
-        for i in range(10):
-            basis, polarity = next_symbol_map(gen, 1, BasisAssignment("osk"))
-            assert basis == 0
-            assert polarity == int(expected_polarities[i])
+        basis, polarity = draw_symbol_frames(gen, 1, BasisAssignment("osk"), 10)
+        assert not basis.any()
+        assert np.array_equal(polarity, reference.take(10))
 
     def test_non_overlap_polarity_pinned(self):
         gen = KeystreamGenerator(SeedKey.from_hex("ACE1"))
-        for _ in range(20):
-            _, polarity = next_symbol_map(gen, 8, BasisAssignment("non_overlap"))
-            assert polarity == 0
+        _, polarity = draw_symbol_frames(gen, 8, BasisAssignment("non_overlap"), 20)
+        assert not polarity.any()
 
     def test_basis_uniform_under_hash_stream(self):
         gen = KeystreamGenerator(SeedKey.from_hex("1234ABCD"), kind="counter_hash")
@@ -182,21 +178,6 @@ class TestSymbolMap:
         assert basis.min() >= 0 and basis.max() <= 2
         counts = np.bincount(basis, minlength=3)
         assert stats.chisquare(counts).pvalue > 0.001
-
-    def test_bulk_frames_match_scalar_path(self):
-        # one batch and one next_symbol_map per symbol both follow the
-        # attempt-at-a-time oracle
-        stream = KeystreamGenerator(SeedKey.from_hex("ACE1")).take(4096)
-        for m in (1, 3, 4, 8):
-            bulk_gen = KeystreamGenerator(SeedKey.from_hex("ACE1"))
-            single_gen = KeystreamGenerator(SeedKey.from_hex("ACE1"))
-            basis, polarity = draw_symbol_frames(bulk_gen, m, BasisAssignment("osk"), 200)
-            singles = [next_symbol_map(single_gen, m, BasisAssignment("osk")) for _ in range(200)]
-            values, tails, used = per_draw_values(stream.tolist(), m, True, 200)
-            assert basis.tolist() == values and polarity.tolist() == tails
-            assert singles == list(zip(values, tails))
-            for gen in (bulk_gen, single_gen):
-                assert np.array_equal(gen.take(256), stream[used:used + 256])
 
 
 # Uneven takes and peeks over more than three 2^18-bit refills; the peeks
@@ -333,28 +314,23 @@ class TestBufferedKeystream:
         assert np.array_equal(bulk.take(256), stream[used:used + 256])
 
 
+def sent_level(basis, polarity, bit, m):
+    """Level row (0-based) Alice sends ``bit`` on in the keyed basis."""
+    return int(level_index(np.array(basis), np.array(bit ^ polarity), m))
+
+
 class TestEncodeDecode:
     def test_bit_zero_polarity_zero_rides_lowest_level(self):
-        spec = ConstellationSpec.intensity_ladder(8, 8.0)
-        frame = alice_encode(0, (0, 0), spec)
-        assert frame.transmitted_level == 1
+        assert sent_level(0, 0, 0, 8) == 0
 
     def test_bit_zero_polarity_one_rides_upper_level(self):
-        spec = ConstellationSpec.intensity_ladder(8, 8.0)
-        frame = alice_encode(0, (0, 1), spec)
-        assert frame.transmitted_level == spec.m_bases + 1
+        assert sent_level(0, 1, 0, 8) == 8
 
     def test_polarity_flip_swaps_levels_only(self):
-        spec = ConstellationSpec.intensity_ladder(4, 4.0)
         for bit in (0, 1):
             for basis in range(4):
-                f0 = alice_encode(bit, (basis, 0), spec)
-                f1 = alice_encode(bit, (basis, 1), spec)
-                assert {f0.transmitted_level, f1.transmitted_level} == {
-                    basis + 1,
-                    basis + 1 + spec.m_bases,
-                }
-                assert f0.data_bit == f1.data_bit == bit
+                levels = {sent_level(basis, polarity, bit, 4) for polarity in (0, 1)}
+                assert levels == {basis, basis + 4}
 
     @pytest.mark.parametrize("m", [1, 2, 8, 32])
     def test_noiseless_round_trip(self, m):
@@ -362,9 +338,8 @@ class TestEncodeDecode:
         for basis in range(m):
             for polarity in (0, 1):
                 for bit in (0, 1):
-                    frame = alice_encode(bit, (basis, polarity), spec)
-                    amplitude = spec.levels[frame.transmitted_level - 1].modes[0].real
-                    assert bob_decode(amplitude, (basis, polarity), spec) == bit
+                    level = spec.levels[sent_level(basis, polarity, bit, m)]
+                    assert bob_decode(level.modes[0].real, (basis, polarity), spec) == bit
 
     def test_arrays_decode_per_symbol(self, rng):
         spec = ConstellationSpec.intensity_ladder(5, 10.0)

@@ -1,6 +1,9 @@
 import io
+import re
+import shlex
 import threading
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +389,9 @@ class TestCli:
             # short cycles: 1 sticks at state 1, 3 has period far below 2^32 - 1
             (["lfsr_poly=1"], "lfsr_poly"),
             (["lfsr_poly=3"], "lfsr_poly"),
+            # a float ** in the noise budget overflows, as G_p=1e200 does
+            (["n_sp=1e200"], "n_sp"),
+            ([f"N={'9' * 200}"], "N"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -396,7 +402,10 @@ class TestCli:
         for item in overrides:
             argv += ["--set", item]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        # an OverflowError's args are (errno, message): print the message only
+        assert re.search(r"\(\d+, '", err) is None, err
 
     @pytest.mark.parametrize(
         "n_mean, noise, code",
@@ -430,6 +439,20 @@ class TestCli:
             assert analytic == (0.0 if noise == "0" else 0.5)
             spread = 4 * float(cells[f"{name}_stderr"])
             assert abs(float(cells[f"{name}_montecarlo"]) - analytic) <= spread
+
+    def test_readme_commands_run(self, tmp_path, monkeypatch, capsys):
+        # every line of the README's fenced block of y00sim commands, in order
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = [b.strip().splitlines() for b in readme.split("```")[1::2]]
+        (lines,) = [b for b in blocks if b and all(x.startswith("y00sim ") for x in b)]
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            argv = ["--out" if a == ">" else a for a in shlex.split(line, comments=True)[1:]]
+            assert cli_main(argv) == 0, line
+            out = capsys.readouterr().out
+            if "--out" in argv:
+                out = Path(argv[argv.index("--out") + 1]).read_text()
+            assert out, line
 
     @pytest.mark.parametrize(
         "command, kind, alpha_max, code",
