@@ -104,10 +104,12 @@ def inner_product(a: MultiModeState, b: MultiModeState) -> complex:
     """
     if a.n_modes != b.n_modes:
         raise DimensionError(f"mode counts differ: {a.n_modes} vs {b.n_modes}")
-    am = np.asarray(a.modes)
-    bm = np.asarray(b.modes)
-    exponent = np.sum(-(np.abs(am) ** 2 + np.abs(bm) ** 2) / 2 + np.conj(am) * bm)
-    return complex(np.exp(exponent))
+    return complex(pair_overlaps(np.asarray(a.modes), np.asarray(b.modes)))
+
+
+def pair_overlaps(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
+    """Overlaps <a|b> of matched rows of two (..., n_modes) amplitude arrays."""
+    return np.exp(np.sum(-(np.abs(am) ** 2 + np.abs(bm) ** 2) / 2 + np.conj(am) * bm, axis=-1))
 
 
 def gram_matrix(ensemble: StateEnsemble) -> np.ndarray:
@@ -119,9 +121,12 @@ def gram_matrix(ensemble: StateEnsemble) -> np.ndarray:
     """
     amps = ensemble.amplitude_matrix()
     norms = np.sum(np.abs(amps) ** 2, axis=1)
-    cross = np.conj(amps) @ amps.T
-    g = np.exp(-(norms[:, None] + norms[None, :]) / 2 + cross)
-    g = (g + g.conj().T) / 2
+    # in place, so at most two n x n arrays are live at once
+    g = np.conj(amps) @ amps.T
+    g += (norms[:, None] + norms[None, :]) / -2
+    np.exp(g, out=g)
+    g += g.conj().T
+    g /= 2
     np.fill_diagonal(g, 1.0)
     return g
 
@@ -134,15 +139,16 @@ def psd_matrix_sqrt(matrix: np.ndarray) -> np.ndarray:
     anything more negative raises, since a Gram matrix that far from PSD
     signals a numerically broken ensemble rather than rounding.
     """
-    h = np.asarray(matrix)
-    w, u = np.linalg.eigh(h)
+    w, u = np.linalg.eigh(matrix)
+    del matrix  # the caller's temporary Gram matrix is freed here
     if w.min() < -_GRAM_NEG_TOL:
         raise IllConditionedEnsembleError(
             f"matrix has eigenvalue {w.min():.3e} below -{_GRAM_NEG_TOL:g}"
         )
     floor = max(w.max(), 0.0) * len(w) * np.finfo(float).eps
     w = np.where(w > floor, w, 0.0)
-    return (u * np.sqrt(w)) @ u.conj().T
+    scaled = u * np.sqrt(w)
+    return scaled @ np.conjugate(u, out=u).T
 
 
 def orthonormal_embedding(ensemble: StateEnsemble) -> np.ndarray:

@@ -122,11 +122,13 @@ def srm_error(ensemble: StateEnsemble, embedding: Optional[np.ndarray] = None) -
     # |S_ii|^2 overshoots 1 by rounding for nearly orthogonal ensembles
     per_state = np.clip(np.abs(np.diag(s)) ** 2, 0.0, 1.0)
     error = 1.0 - float(per_state.mean())
-    p = np.abs(s.T) ** 2
+    confusion = np.abs(s.T)
+    np.square(confusion, out=confusion)
+    confusion /= confusion.sum(axis=1, keepdims=True)
     return DetectionReport(
         error_probability=min(max(error, 0.0), (n - 1) / n),
         per_state_correct=tuple(float(c) for c in per_state),
-        confusion=p / p.sum(axis=1, keepdims=True),
+        confusion=confusion,
     )
 
 

@@ -23,11 +23,12 @@ from .coherent_algebra import (
     entangled_fraction,
     lossy_shared_state,
     orthonormal_embedding,
+    pair_overlaps,
 )
 from .detection import (
     guess_baseline,
     helstrom_mixed_pair,
-    minimax_pair,
+    helstrom_pure_pair,
     srm_error,
 )
 from .errors import ConfigError, IllConditionedEnsembleError, ParameterError
@@ -567,15 +568,15 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
     spec = config.constellation()
     ensemble = spec.ensemble()
 
-    worst_error = -1.0
-    worst_pair = (1, 2)
-    worst_prior = 0.5
-    for i in range(len(spec.levels) - 1):
-        prior, value = minimax_pair(spec.levels[i], spec.levels[i + 1])
-        if value > worst_error:
-            worst_error = value
-            worst_prior = prior
-            worst_pair = (i + 1, i + 2)
+    # minimax_pair over every neighbour pair: the game value is the equal-prior
+    # Helstrom error; Python's abs and ** 2 keep its exact digits
+    amps = ensemble.amplitude_matrix()
+    errors = [
+        helstrom_pure_pair(min(abs(z) ** 2, 1.0), 0.5)
+        for z in pair_overlaps(amps[:-1], amps[1:]).tolist()
+    ]
+    worst_error = max(errors)
+    i = errors.index(worst_error)
 
     srm_report = srm_error(ensemble)
 
@@ -597,8 +598,8 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
         rows.append((eta, fraction.fraction, fraction.closed_form))
 
     return AttackReport(
-        worst_pair_levels=worst_pair,
-        worst_pair_prior=worst_prior,
+        worst_pair_levels=(i + 1, i + 2),
+        worst_pair_prior=0.5,
         worst_pair_error=worst_error,
         srm_state_error=srm_report.error_probability,
         guessing_error=guess_baseline(len(spec.levels)),

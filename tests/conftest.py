@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from y00sim.coherent_algebra import MultiModeState
+from y00sim.detection import minimax_pair
+from y00sim.y00_cipher import ConstellationSpec
 
 
 def fock_overlap(a: MultiModeState, b: MultiModeState) -> complex:
@@ -57,6 +59,57 @@ def per_draw_values(stream, bound, tail, count):
             tails.append(stream[pos] if tail else 0)
             pos += tail
     return values, tails, pos
+
+
+# Both ladders at 2M levels and peak amplitude alpha, for the bit-identity
+# checks against the references below.
+LADDER_CASES = [
+    pytest.param(kind, two_m, alpha, id=f"{kind}-2M{two_m}-a{alpha:g}")
+    for kind in ("intensity_ladder", "phase_ladder")
+    for two_m in (2, 30, 32, 54, 256, 640)
+    for alpha in (0.5, 3.0, 100.0)
+]
+
+
+def ladder(kind, two_m, alpha):
+    return getattr(ConstellationSpec, kind)(two_m // 2, alpha).ensemble()
+
+
+# Out-of-place forms of the Gram -> root -> SRM path. Each does the package's
+# floating-point operations in the same order, each into a new array, so the
+# package's in-place results must equal these bit for bit.
+def gram_reference(ensemble) -> np.ndarray:
+    amps = ensemble.amplitude_matrix()
+    norms = np.sum(np.abs(amps) ** 2, axis=1)
+    cross = np.conj(amps) @ amps.T
+    g = np.exp(-(norms[:, None] + norms[None, :]) / 2 + cross)
+    g = (g + g.conj().T) / 2
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def psd_sqrt_reference(matrix) -> np.ndarray:
+    h = np.asarray(matrix)
+    w, u = np.linalg.eigh(h)
+    floor = max(w.max(), 0.0) * len(w) * np.finfo(float).eps
+    w = np.where(w > floor, w, 0.0)
+    return (u * np.sqrt(w)) @ u.conj().T
+
+
+def confusion_reference(s) -> np.ndarray:
+    p = np.abs(s.T) ** 2
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def worst_pair_reference(levels):
+    """The per-pair minimax_pair scan over neighbouring levels, first maximum
+    kept: ((i, i + 1) 1-based, prior, error)."""
+    worst_error, worst_pair, worst_prior = -1.0, (1, 2), 0.5
+    for i in range(len(levels) - 1):
+        prior, value = minimax_pair(levels[i], levels[i + 1])
+        if value > worst_error:
+            worst_error, worst_prior, worst_pair = value, prior, (i + 1, i + 2)
+    return worst_pair, worst_prior, worst_error
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from y00sim.coherent_algebra import (
 )
 from y00sim.errors import DimensionError, IllConditionedEnsembleError, ParameterError
 
-from conftest import fock_overlap
+from conftest import LADDER_CASES, fock_overlap, gram_reference, ladder, psd_sqrt_reference
 
 
 def single(alpha):
@@ -85,6 +85,21 @@ class TestGramMatrix:
         w_operator = np.sort(np.linalg.eigvalsh(operator))
         assert np.allclose(w_matrix, w_operator, atol=1e-10)
 
+    @pytest.mark.parametrize("kind, two_m, alpha", LADDER_CASES)
+    def test_bit_identical_to_reference(self, kind, two_m, alpha):
+        ens = ladder(kind, two_m, alpha)
+        assert np.array_equal(gram_matrix(ens), gram_reference(ens))
+
+    def test_leaves_ensemble_unchanged(self, rng):
+        modes = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        states = [MultiModeState(tuple(row)) for row in modes]
+        ens = StateEnsemble.uniform(states)
+        amps, priors = ens.amplitude_matrix(), ens.priors.copy()
+        gram_matrix(ens)
+        assert ens.states == tuple(states)
+        assert np.array_equal(ens.amplitude_matrix(), amps)
+        assert np.array_equal(ens.priors, priors)
+
 
 class TestPsdMatrixSqrt:
     ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -98,6 +113,22 @@ class TestPsdMatrixSqrt:
         h = self.ROTATION @ np.diag([4.0, -5e-9]) @ self.ROTATION.T
         s = psd_matrix_sqrt(h)
         assert np.allclose(s, self.ROTATION @ np.diag([2.0, 0.0]) @ self.ROTATION.T, atol=1e-12)
+
+    @pytest.mark.parametrize("kind, two_m, alpha", LADDER_CASES)
+    def test_bit_identical_to_reference(self, kind, two_m, alpha):
+        g = gram_matrix(ladder(kind, two_m, alpha))
+        assert np.array_equal(psd_matrix_sqrt(g), psd_sqrt_reference(g))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_leaves_input_unchanged(self, dtype, rng):
+        a = rng.normal(size=(6, 6))
+        if dtype is complex:
+            a = a + 1j * rng.normal(size=(6, 6))
+        h = a @ a.conj().T
+        before = h.copy()
+        s = psd_matrix_sqrt(h)
+        assert h.dtype == before.dtype and np.array_equal(h, before)
+        assert np.allclose(s @ s, h, atol=1e-10)
 
 
 class TestOrthonormalEmbedding:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,15 @@ from y00sim.detection import (
 from y00sim.errors import ParameterError
 from y00sim.scenario import attack_suite, default_config
 from y00sim.y00_cipher import BasisAssignment, ConstellationSpec, eve_bit_mixtures
+
+from conftest import (
+    LADDER_CASES,
+    confusion_reference,
+    gram_reference,
+    ladder,
+    psd_sqrt_reference,
+    worst_pair_reference,
+)
 
 
 def single(alpha):
@@ -175,6 +185,29 @@ class TestSrmError:
         # diagonal recovers the per-state success probabilities
         assert np.allclose(np.diag(confusion), report.per_state_correct, atol=1e-10)
 
+    @pytest.mark.parametrize("kind, two_m, alpha", LADDER_CASES)
+    def test_bit_identical_to_reference(self, kind, two_m, alpha):
+        ens = ladder(kind, two_m, alpha)
+        report = srm_error(ens)
+        s = psd_sqrt_reference(gram_reference(ens))
+        per_state = np.clip(np.abs(np.diag(s)) ** 2, 0.0, 1.0)
+        assert np.array_equal(report.per_state_correct, per_state)
+        error = min(max(1.0 - float(per_state.mean()), 0.0), (two_m - 1) / two_m)
+        assert report.error_probability == error
+        assert np.array_equal(report.confusion, confusion_reference(s))
+
+    def test_traced_peak_memory(self):
+        # the Gram build, its root and the confusion matrix work in place, so
+        # at most three 2M x 2M complex arrays are live at once
+        ens = ConstellationSpec.intensity_ladder(320, 100.0).ensemble()
+        tracemalloc.start()
+        try:
+            srm_error(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 640**2 * 16
+
 
 class TestMinimaxPair:
     def test_orthogonal_pair(self):
@@ -206,6 +239,18 @@ class TestMinimaxPair:
         assert float(fields["srm_minimax_bound"]) == pytest.approx(
             srm_error(spec.ensemble()).error_probability
         )
+
+    @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+    @pytest.mark.parametrize("m", [1, 2, 15, 16, 27, 64])
+    @pytest.mark.parametrize("alpha", [0.5, 3.0, 100.0])
+    def test_attack_suite_worst_pair_matches_per_pair_loop(self, kind, m, alpha):
+        # the one array pass over neighbour overlaps keeps minimax_pair's
+        # exact digits (phase ladder M=27, alpha=3 is off by one ulp when
+        # the square is taken in numpy)
+        config = replace(default_config(), kind=kind, m_bases=m, alpha_max=alpha)
+        report = attack_suite(config)
+        got = (report.worst_pair_levels, report.worst_pair_prior, report.worst_pair_error)
+        assert got == worst_pair_reference(config.constellation().levels)
 
 
 class TestGuessBaseline:
