@@ -30,6 +30,13 @@ GOLDEN = [
      "2de803ac418107fa4a26465fd674a92afdb1e1c21cb09f192139981c825586de"),
     ("attacks_default", ["attacks", "{cfg}"],
      "948d5751335250966729b102ebc303205596d5770df96aae39558bdeb900c080"),
+    ("attacks_M15", ["attacks", "{cfg}", "--set", "M=15"],
+     "94f1ea7f272e453f61bedfcc2cb99aa5715a78bc0d3d846f8786a066c16a7523"),
+    ("attacks_phase_ladder", ["attacks", "{cfg}", "--set", "kind=phase_ladder"],
+     "2205070d0bccb081536a2c1fb5b7f8a45e98e630b7e49f729e325d74306f95d4"),
+    ("attacks_phase_ladder_M15_alpha3",
+     ["attacks", "{cfg}", "--set", "kind=phase_ladder", "--set", "M=15", "--set", "alpha_max=3"],
+     "8c166dd1ca9825b8d036a0545067aad0c55292fa788235547269ccd1063f6338"),
     ("sweep_readme_fig2",
      ["sweep", "{cfg}", "--set", "sweep_variable=M", "--set", "sweep_values=2,4,8,16"],
      "1f60ae8d865fd2414b083e74ff1367448714e5d2ae778cd6ea4cd9317b0e85c4"),
