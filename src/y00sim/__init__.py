@@ -3,19 +3,15 @@ stream cipher, with quantum detection bounds, an IMDD fiber link budget,
 and a keyed repetition-code layer."""
 
 from .coherent_algebra import (
-    CoherentAmplitude,
     EntangledFraction,
     LossySharedState,
     MultiModeState,
-    QuasiBellState,
     StateEnsemble,
-    apply_loss,
     entangled_fraction,
     gram_matrix,
     inner_product,
     lossy_shared_state,
     orthonormal_embedding,
-    phase_constellation,
     psd_matrix_sqrt,
     quasi_bell_reduced_eigenvalues,
 )

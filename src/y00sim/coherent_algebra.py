@@ -4,9 +4,9 @@ Everything here works in the finite-dimensional span of the participating
 kets rather than a truncated number basis: overlaps of coherent states have
 a closed form, so a Gram matrix plus its Hermitian square root give exact
 (machine-precision) embeddings for mixed-state computations at any photon
-number. Also provides the entangled two-mode superpositions of +/-alpha
-("quasi-Bell" pairs), the beam-splitter loss channel, and the surviving
-entangled fraction of a shared pair after one arm passes a lossy link.
+number. Also provides the reduced spectrum of an entangled +/-alpha pair
+and the surviving entangled fraction of a shared pair after one arm
+passes a lossy link.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, IllConditionedEnsembleError, ParameterError
-
-#: A coherent amplitude is a plain complex number; |alpha|^2 is the mean
-#: photon number of the mode.
-CoherentAmplitude = complex
 
 # Eigenvalues of a Gram matrix this far below zero are not rounding noise.
 _GRAM_NEG_TOL = 1e-8
@@ -54,11 +50,6 @@ class MultiModeState:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
-
-    @property
-    def total_energy(self) -> float:
-        """Total mean photon number, summed over modes."""
-        return float(sum(abs(m) ** 2 for m in self.modes))
 
 
 @dataclass(eq=False)
@@ -182,70 +173,6 @@ def quasi_bell_reduced_eigenvalues(kappa_a: float, kappa_b: float) -> tuple[floa
     return lam1, lam2
 
 
-def apply_loss(alpha: CoherentAmplitude, eta: float) -> tuple[complex, complex]:
-    """Beam-splitter loss: |alpha> -> kept sqrt(eta) alpha, lost sqrt(1-eta) alpha."""
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"transparency must lie in [0, 1], got {eta}")
-    alpha = _require_finite(alpha, "alpha")
-    return math.sqrt(eta) * alpha, math.sqrt(1.0 - eta) * alpha
-
-
-# kinds 1, 2 superpose |a>|-b> with |-a>|b>; kinds 3, 4 superpose |a>|b> with |-a>|-b>
-_QUASI_BELL_SIGNS = {1: +1, 2: -1, 3: +1, 4: -1}
-
-
-def quasi_bell_normalization(kind: int, kappa_a: float, kappa_b: float) -> float:
-    """Closed-form normalization h for the four +/-alpha entangled pairs."""
-    if kind not in _QUASI_BELL_SIGNS:
-        raise ParameterError(f"kind must be 1..4, got {kind}")
-    sign = _QUASI_BELL_SIGNS[kind]
-    return 1.0 / math.sqrt(2.0 * (1.0 + sign * kappa_a * kappa_b))
-
-
-@dataclass(frozen=True)
-class QuasiBellState:
-    """One of the four entangled superpositions of +/-alpha pairs.
-
-    kind 1: h (|a>|-b> + |-a>|b>)      kind 2: h (|a>|-b> - |-a>|b>)
-    kind 3: h (|a>|b>  + |-a>|-b>)     kind 4: h (|a>|b>  - |-a>|-b>)
-
-    Kinds 2 and 4 are maximally entangled for every amplitude.
-    """
-
-    kind: int
-    amplitude_a: complex
-    amplitude_b: complex
-    normalization: float
-
-    def __post_init__(self):
-        expected = quasi_bell_normalization(self.kind, self.kappa_a, self.kappa_b)
-        if abs(self.normalization - expected) > 1e-12:
-            raise ParameterError(
-                f"normalization {self.normalization!r} does not match the "
-                f"closed form {expected!r} for kind {self.kind}"
-            )
-
-    @classmethod
-    def create(cls, kind: int, amplitude_a: complex, amplitude_b: complex) -> "QuasiBellState":
-        amplitude_a = _require_finite(amplitude_a, "amplitude_a")
-        amplitude_b = _require_finite(amplitude_b, "amplitude_b")
-        ka = math.exp(-2.0 * abs(amplitude_a) ** 2)
-        kb = math.exp(-2.0 * abs(amplitude_b) ** 2)
-        return cls(kind, amplitude_a, amplitude_b, quasi_bell_normalization(kind, ka, kb))
-
-    @property
-    def kappa_a(self) -> float:
-        """Overlap <alpha_A|-alpha_A> of the mode-A basis states."""
-        return math.exp(-2.0 * abs(self.amplitude_a) ** 2)
-
-    @property
-    def kappa_b(self) -> float:
-        return math.exp(-2.0 * abs(self.amplitude_b) ** 2)
-
-    def reduced_eigenvalues(self) -> tuple[float, float]:
-        return quasi_bell_reduced_eigenvalues(self.kappa_a, self.kappa_b)
-
-
 @dataclass(eq=False)
 class LossySharedState:
     """Two-party state left after one arm of an antisymmetric entangled
@@ -352,22 +279,3 @@ def entangled_fraction(state: LossySharedState) -> EntangledFraction:
     loss = state.printed_loss
     closed = (1.0 - k2) / (1.0 - loss * k2) + (1.0 - loss) * (1.0 - k2) ** 2 / (1.0 - loss * k2)
     return EntangledFraction(fraction=fraction, closed_form=closed)
-
-
-def phase_constellation(alpha: float, m_bases: int) -> StateEnsemble:
-    """2M two-mode states with counter-rotated phases, uniform priors.
-
-    State k is |e^{-i phi/2} alpha/sqrt(2)> x |e^{+i phi/2} alpha/sqrt(2)>
-    with phi = 2 pi k / (2M), k = 0 .. 2M-1, so every state carries total
-    energy |alpha|^2 and antipodal pairs (k, k+M) form the M bases.
-    """
-    if m_bases < 1:
-        raise ParameterError(f"need at least one basis, got {m_bases}")
-    alpha = complex(alpha)
-    base = alpha / math.sqrt(2.0)
-    states = []
-    for k in range(2 * m_bases):
-        phi = 2.0 * math.pi * k / (2 * m_bases)
-        rot = complex(math.cos(phi / 2.0), math.sin(phi / 2.0))
-        states.append(MultiModeState((base / rot, base * rot)))
-    return StateEnsemble.uniform(states)

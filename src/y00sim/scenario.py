@@ -241,7 +241,8 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path, overrides: tuple[str, ...] = ()) -> "ScenarioConfig":
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            # utf-8-sig drops a byte-order mark that would glue onto the first key
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
         return cls.from_text(text, overrides)

@@ -2,12 +2,12 @@
 overlap selection keying (OSK), the eavesdropper's induced state mixtures,
 and the key-expansion session loop.
 
-The constellation is a ladder of 2M intensity levels alpha_i = alpha_max *
-i / (2M); basis j pairs level j with level j+M, and under OSK the running
-key also flips which of the pair carries bit 0. A keyed symbol consumes
-ceil(log2 M) keystream bits for the basis (rejection-sampled for non-power-
-of-two M, first-consumed bit most significant) plus one polarity bit in OSK
-mode.
+ConstellationSpec builds both 2M-level ladders: intensity, alpha_i =
+alpha_max * i / (2M), and two-mode phase. Basis j pairs level j with level
+j+M, and under OSK the running key also flips which of the pair carries bit
+0. A keyed symbol consumes ceil(log2 M) keystream bits for the basis
+(rejection-sampled for non-power-of-two M, first-consumed bit most
+significant) plus one polarity bit in OSK mode.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .coherent_algebra import MultiModeState, StateEnsemble, phase_constellation
+from .coherent_algebra import MultiModeState, StateEnsemble
 from .detection import DiscriminationProblem
 from .errors import ParameterError, SeedError
 
@@ -72,14 +72,14 @@ class SeedKey:
 
     @classmethod
     def from_hex(cls, text: str) -> "SeedKey":
-        text = text.strip().removeprefix("0x").removeprefix("0X")
+        text = text.strip()
+        text = text[2:] if text[:2] in ("0x", "0X") else text
         if not text:
             raise ParameterError("empty seed key")
-        try:
-            value = int(text, 16)
-        except ValueError as exc:
-            raise ParameterError(f"seed key is not hex: {text!r}") from exc
-        return cls.from_int(value, 4 * len(text))
+        # 4 bits per ASCII hex digit: int(text, 16) would also take "_" and a sign
+        if not set(text) <= set("0123456789abcdefABCDEF"):
+            raise ParameterError(f"seed key is not hex: {text!r}")
+        return cls.from_int(int(text, 16), 4 * len(text))
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "SeedKey":
@@ -93,11 +93,6 @@ class SeedKey:
 
     def to_int(self) -> int:
         return int("".join("01"[b] for b in self.bits), 2)
-
-    def to_hex(self) -> str:
-        if self.n % 4:
-            raise ParameterError("hex form needs a bit length divisible by 4")
-        return format(self.to_int(), f"0{self.n // 4}X")
 
 
 def lfsr_polynomial(width: int, polynomial: Optional[int] = None) -> int:
@@ -324,8 +319,6 @@ class ConstellationSpec:
     def intensity_ladder(cls, m_bases: int, alpha_max: float) -> "ConstellationSpec":
         """Levels alpha_i = alpha_max * i / (2M), i = 1 .. 2M."""
         _check_alpha_max(alpha_max)
-        if m_bases < 1:
-            raise ParameterError("need at least one basis")
         levels = tuple(
             MultiModeState.single(alpha_max * i / (2 * m_bases)) for i in range(1, 2 * m_bases + 1)
         )
@@ -333,9 +326,17 @@ class ConstellationSpec:
 
     @classmethod
     def phase_ladder(cls, m_bases: int, alpha: float) -> "ConstellationSpec":
+        """Levels |e^{-i phi/2} alpha/sqrt(2)> x |e^{+i phi/2} alpha/sqrt(2)> with
+        phi = 2 pi k / (2M), k = 0 .. 2M-1: each carries total energy |alpha|^2,
+        and the antipodal pairs (k, k+M) form the M bases."""
         _check_alpha_max(alpha)
-        ensemble = phase_constellation(alpha, m_bases)
-        return cls("phase_ladder", m_bases, float(alpha), ensemble.states)
+        base = complex(alpha) / math.sqrt(2.0)
+        levels = []
+        for k in range(2 * m_bases):
+            phi = 2.0 * math.pi * k / (2 * m_bases)
+            rot = complex(math.cos(phi / 2.0), math.sin(phi / 2.0))
+            levels.append(MultiModeState((base / rot, base * rot)))
+        return cls("phase_ladder", m_bases, float(alpha), tuple(levels))
 
     def level_amplitudes(self) -> np.ndarray:
         """Real level amplitudes of the intensity ladder, index 0 = level 1."""

@@ -141,7 +141,7 @@ class TestSeedKey:
     def test_hex_round_trip(self):
         key = SeedKey.from_hex("ACE1F00D")
         assert key.n == 32
-        assert key.to_hex() == "ACE1F00D"
+        assert key.to_int() == 0xACE1F00D
 
     def test_too_short_rejected(self):
         with pytest.raises(ParameterError):
@@ -150,6 +150,17 @@ class TestSeedKey:
     def test_bad_hex_rejected(self):
         with pytest.raises(ParameterError):
             SeedKey.from_hex("XYZ1")
+
+    def test_prefix_and_outer_space_are_not_key_bits(self):
+        assert SeedKey.from_hex(" 0xACE1F00D\n") == SeedKey.from_hex("ACE1F00D")
+
+    # only ASCII hex digits after one optional 0x count towards the key width
+    @pytest.mark.parametrize(
+        "text", ["ACE1_F00D", "+ACE1F00D", "-ACE1F00D", "ACE1 F00D", "0x0XACE1F00D"]
+    )
+    def test_non_hex_characters_rejected(self, text):
+        with pytest.raises(ParameterError, match="not hex"):
+            SeedKey.from_hex(text)
 
 
 class TestSymbolMap:

@@ -5,19 +5,17 @@ import pytest
 
 from y00sim.coherent_algebra import (
     MultiModeState,
-    QuasiBellState,
     StateEnsemble,
-    apply_loss,
     entangled_fraction,
     gram_matrix,
     inner_product,
     lossy_shared_state,
     orthonormal_embedding,
-    phase_constellation,
     psd_matrix_sqrt,
     quasi_bell_reduced_eigenvalues,
 )
 from y00sim.errors import DimensionError, IllConditionedEnsembleError, ParameterError
+from y00sim.y00_cipher import ConstellationSpec
 
 from conftest import LADDER_CASES, fock_overlap, gram_reference, ladder, psd_sqrt_reference
 
@@ -150,15 +148,6 @@ class TestOrthonormalEmbedding:
 
 
 class TestQuasiBell:
-    def test_normalization_closed_form(self):
-        state = QuasiBellState.create(2, 0.7, 1.2)
-        expected = 1.0 / math.sqrt(2.0 * (1.0 - state.kappa_a * state.kappa_b))
-        assert state.normalization == pytest.approx(expected, rel=1e-12)
-
-    def test_wrong_normalization_rejected(self):
-        with pytest.raises(ParameterError):
-            QuasiBellState(2, 0.7, 1.2, 0.9)
-
     def test_equal_overlaps_maximize_entanglement(self):
         assert quasi_bell_reduced_eigenvalues(0.3, 0.3) == pytest.approx((0.5, 0.5))
         assert quasi_bell_reduced_eigenvalues(0.0, 0.0) == pytest.approx((0.5, 0.5))
@@ -193,30 +182,6 @@ class TestQuasiBell:
     def test_singular_product_rejected(self):
         with pytest.raises(ParameterError):
             quasi_bell_reduced_eigenvalues(1.0, 1.0)
-
-
-class TestApplyLoss:
-    def test_full_transparency(self):
-        assert apply_loss(2.0, 1.0) == (2.0, 0.0)
-
-    def test_opaque_channel(self):
-        assert apply_loss(2.0, 0.0) == (0.0, 2.0)
-
-    def test_beam_splitter_arithmetic(self):
-        kept, lost = apply_loss(2.0, 0.36)
-        assert kept == pytest.approx(1.2, rel=1e-12)
-        assert lost == pytest.approx(1.6, rel=1e-12)
-
-    def test_energy_conserved(self, rng):
-        for _ in range(30):
-            alpha = complex(*rng.normal(scale=2, size=2))
-            eta = rng.uniform()
-            kept, lost = apply_loss(alpha, eta)
-            assert abs(kept) ** 2 + abs(lost) ** 2 == pytest.approx(abs(alpha) ** 2, abs=1e-12)
-
-    def test_eta_out_of_range(self):
-        with pytest.raises(ParameterError):
-            apply_loss(1.0, 1.5)
 
 
 class TestLossySharedState:
@@ -306,17 +271,17 @@ class TestEntangledFraction:
 
 class TestPhaseConstellation:
     def test_pair_overlap_matches_inner_product(self):
-        ens = phase_constellation(1.0, 1)
+        ens = ConstellationSpec.phase_ladder(1, 1.0).ensemble()
         direct = inner_product(ens.states[0], ens.states[1])
         # phi separation pi: exp(-|alpha|^2 (1 - cos(pi/2)))
         assert abs(direct) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_energy_preserved(self):
-        ens = phase_constellation(1.7, 4)
+        ens = ConstellationSpec.phase_ladder(4, 1.7).ensemble()
         for state in ens.states:
-            assert state.total_energy == pytest.approx(1.7**2, rel=1e-12)
+            assert sum(abs(m) ** 2 for m in state.modes) == pytest.approx(1.7**2, rel=1e-12)
 
     def test_zero_phase_state_unmodulated(self):
-        ens = phase_constellation(2.0, 3)
+        ens = ConstellationSpec.phase_ladder(3, 2.0).ensemble()
         reference = MultiModeState((2.0 / math.sqrt(2), 2.0 / math.sqrt(2)))
         assert abs(inner_product(ens.states[0], reference)) == pytest.approx(1.0, abs=1e-12)

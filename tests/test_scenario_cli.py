@@ -1,3 +1,4 @@
+import codecs
 import io
 import re
 import shlex
@@ -79,6 +80,18 @@ class TestConfigParsing:
     def test_invalid_config_cannot_be_built(self):
         with pytest.raises(ConfigError, match="^G_p: "):
             replace(default_config(), g_p=0.5)
+
+    # a UTF-8 BOM once glued itself to the first line: to the header, or,
+    # without one, to the first key
+    @pytest.mark.parametrize("header", [True, False])
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, header):
+        text = default_config().to_text()
+        if not header:
+            text = text.partition("\n")[2]
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert ScenarioConfig.from_file(bom) == ScenarioConfig.from_file(plain) == default_config()
 
     def test_zero_seed_key_fails_at_run_time_as_seed_error(self):
         from y00sim.errors import SeedError
@@ -367,6 +380,8 @@ class TestCli:
             (["master_rng_seed=-1"], "master_rng_seed"),
             (["seed_key=ABCDEF1234"], "seed_key"),  # 40 bits: no default polynomial
             (["seed_key=123456789ABCDEF012", "lfsr_poly=3"], "seed_key"),  # 72-bit LFSR
+            # int(..., 16) once read this as a 36-bit key
+            (["seed_key=ACE1_F00D", "keystream=counter_hash"], "seed_key"),
             (["n_mean=0"], "n_mean"),
             # the link budget overflows: X^2 in the noise terms, then the
             # threshold's sigma * (i_on - i_off), then the repeater gain 1/kappa_r
