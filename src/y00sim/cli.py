@@ -8,6 +8,7 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigError, Y00Error
@@ -22,6 +23,7 @@ from .scenario import (
 )
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="y00sim",

@@ -1,9 +1,9 @@
 """Hot numeric kernels, written in numpy.
 
 ``lfsr_fill`` expands the Galois LFSR keystream in whole 4096-bit
-super-blocks, each one lane-table gather.
-``decision_cuts`` turns Bob's threshold decision into one cut per level, and
-the other kernels are the Monte Carlo steps of the scenario runner.
+super-blocks, their states one state-grid gather and their bits one lane-table
+gather. ``decision_cuts`` turns Bob's threshold decision into one cut per level,
+and the other kernels are the Monte Carlo steps of the scenario runner.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 _BLOCK = 64           # output bits per lane word
 _LANE_JUMPS = 6       # a super-block is 2^6 words: A^4096 is jumps[6]
 _SUPER_BLOCK = _BLOCK << _LANE_JUMPS  # output bits per lane-table gather
+_GRID_JUMPS = 6       # a grid row spans 2^6 super-blocks: A^(4096 * 64) is jumps[12]
 _JUMP_LEVELS = 32     # jumps A^(64 * 2^k) for k < 32: fills of up to 2^38 bits
 
 
@@ -38,18 +39,29 @@ def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
     return out
 
 
+def _orbit(jumps: tuple[np.ndarray, ...], level: int, start, n: int) -> np.ndarray:
+    """Rows A^(64 * 2^level * i) start for i < n, by doubling."""
+    rows = np.asarray(start, dtype=np.uint64)[None]
+    for k in range((n - 1).bit_length()):
+        # rows[i + 2^k] = A^(64 * 2^(level + k)) rows[i]
+        rows = np.concatenate([rows, _apply(jumps[level + k], rows[:n - len(rows)])])
+    return rows
+
+
 @lru_cache(maxsize=64)
-def _lfsr_tables(mask: int, n_bytes: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(lanes, jumps) of the register step A: s -> (s >> 1) ^ (mask if s & 1)
-    on states of ``n_bytes`` bytes, a linear map on GF(2)^(8 n_bytes).
+def _lfsr_tables(mask: int, n_bytes: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """(lanes, grid, jumps) of the register step A: s -> (s >> 1) ^ (mask if
+    s & 1) on states of ``n_bytes`` bytes, a linear map on GF(2)^(8 n_bytes).
 
     Output bit j from state s is bit 0 of A^j s. lanes holds the lookup tables
     of the map from s to its next 4096 output bits, bit j of word k being
-    output bit 64 k + j; jumps[k] holds the byte tables of A^(64 * 2^k).
+    output bit 64 k + j; grid those of the map from s to its states at stride
+    4096, A^(4096 i) s for i <= 64; jumps[k] holds the byte tables of
+    A^(64 * 2^k).
     """
-    width = 8 * n_bytes
-    columns = np.uint64(1) << np.arange(width, dtype=np.uint64)  # A^j e_i, j = 0
-    word_columns = np.zeros(width, dtype=np.uint64)
+    units = np.uint64(1) << np.arange(8 * n_bytes, dtype=np.uint64)
+    columns = units  # A^j e_i, j = 0
+    word_columns = np.zeros(units.size, dtype=np.uint64)
     for j in range(_BLOCK):
         word_columns |= (columns & np.uint64(1)) << np.uint64(j)
         columns = (columns >> np.uint64(1)) ^ np.where(columns & 1, np.uint64(mask), 0)
@@ -59,15 +71,13 @@ def _lfsr_tables(mask: int, n_bytes: int) -> tuple[np.ndarray, tuple[np.ndarray,
         # the columns of a matrix are its tables at the one-bit bytes
         columns = jumps[-1][:, unit_bytes].ravel()
         jumps.append(_tables(_apply(jumps[-1], columns)))
-    # lane k of e_i is the first word of A^(64 k) e_i, found by doubling
-    starts = np.uint64(1) << np.arange(width, dtype=np.uint64)[None, :]
-    for k in range(_LANE_JUMPS):
-        starts = np.concatenate([starts, _apply(jumps[k], starts)])
-    # nibble chunks keep a 32-bit register's lanes at 64 KB, not 512 KB
-    lanes = _tables(_apply(_tables(word_columns), starts).T, 4)
-    for table in (lanes, *jumps):
+    # lane k of e_i is the first word of A^(64 k) e_i; nibble chunks keep a
+    # 32-bit register's lanes at 64 KB, not 512 KB
+    lanes = _tables(_apply(_tables(word_columns), _orbit(jumps, 0, units, _BLOCK)).T, 4)
+    grid = _tables(_orbit(jumps, _LANE_JUMPS, units, (1 << _GRID_JUMPS) + 1).T, 4)
+    for table in (lanes, grid, *jumps):
         table.flags.writeable = False  # shared by every caller through the cache
-    return lanes, tuple(jumps)
+    return lanes, grid, tuple(jumps)
 
 
 def lfsr_fill(state, mask, n_bits):
@@ -76,21 +86,21 @@ def lfsr_fill(state, mask, n_bits):
     out), as (bits, state after them): bits is a uint8 array of whole
     4096-bit super-blocks, at least ``n_bits`` long.
 
-    The step is linear over GF(2), so the states at stride 4096 follow from
-    the start by doubling with the jump matrices A^(4096 * 2^k), and one
-    gather of the lane tables maps each to its 4096 output bits as 64 words
-    (Haramoto et al., "Efficient jump ahead for F2-linear random number
-    generators", INFORMS J. Computing 20(3), 2008).
+    The step is linear over GF(2): one gather of the grid tables maps each
+    state at stride 4096 * 64, which the jump matrices give by doubling, to
+    the next 64 states at stride 4096 and the state after them (Haramoto et
+    al., "Efficient jump ahead for F2-linear random number generators",
+    INFORMS J. Computing 20(3), 2008), and one gather of the lane tables
+    maps each of those to its 4096 output bits as 64 words.
     """
     s, m = int(state), int(mask)
     # a register of this width never sets a higher bit
-    lanes, jumps = _lfsr_tables(m, max(1, (max(s.bit_length(), m.bit_length()) + 7) // 8))
+    lanes, grid, jumps = _lfsr_tables(m, max(1, (max(s.bit_length(), m.bit_length()) + 7) // 8))
     supers = -(-n_bits // _SUPER_BLOCK)
-    states = np.array([s], dtype=np.uint64)
-    for k in range(supers.bit_length()):
-        # states[i + 2^k] = A^(4096 * 2^k) states[i]
-        fresh = _apply(jumps[_LANE_JUMPS + k], states[:supers + 1 - states.size])
-        states = np.concatenate([states, fresh])
+    coarse = _orbit(jumps, _LANE_JUMPS + _GRID_JUMPS, s, max(1, -(-supers >> _GRID_JUMPS)))
+    rows = _apply(grid, coarse)
+    # grid row j ends on the state row j + 1 starts from
+    states = np.append(rows[:, :-1], rows[-1, -1])
     # little-endian bytes, least significant bit first: output bit j of a
     # word lands at offset j of its 64
     packed = _apply(lanes, states[:supers]).astype("<u8", copy=False)
@@ -122,19 +132,31 @@ def decision_cuts(mean_i, sigma_i, thr_level):
 
     Both roundings are monotone and sigma >= 0, so the decision is
     nondecreasing in z and flips at most once. The cut is the largest finite
-    z that fails, found by bisection over the order-preserving keys of all
-    finite float64 values. The cut is -inf when every finite z passes and
-    the largest float when none does (as on a noise-free link).
+    z that fails, searched over the order-preserving keys of all finite
+    float64 values: a bracket gallops out from the quotient (thr - mean) /
+    sigma, near which a real link's cut lies, until its low end fails and its
+    high end passes, and bisection ends inside it. The cut is -inf when every
+    finite z passes and the largest float when none does (as on a noise-free
+    link).
     """
     mean, sigma, thr = (np.asarray(a, dtype=np.float64) for a in (mean_i, sigma_i, thr_level))
 
     def passes(keys):
         return mean + sigma * _floats(keys) > thr
 
-    with np.errstate(over="ignore"):  # sigma * +-max overflows to +-inf
-        shape = np.broadcast_shapes(mean.shape, sigma.shape, thr.shape)
-        lo, hi = np.full(shape, _KEY_LOW), np.full(shape, _KEY_HIGH)
-        every, none = passes(lo), ~passes(hi)
+    # sigma * z and thr - mean may overflow, and the quotient be +-inf or nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo = hi = _keys(np.nan_to_num((thr - mean) / sigma))
+        step = np.uint64(1)
+        while True:
+            up = passes(np.stack([lo, hi]))
+            lo_done, hi_done = ~up[0] | (lo == _KEY_LOW), up[1] | (hi == _KEY_HIGH)
+            if (lo_done & hi_done).all():
+                break
+            lo = np.where(lo_done, lo, np.maximum(lo, _KEY_LOW + step) - step)
+            hi = np.where(hi_done, hi, np.minimum(hi, _KEY_HIGH - step) + step)
+            step <<= np.uint64(1)
+        every, none = up[0], ~up[1]  # a passing low end is -max, a failing high end max
         lo = np.where(every | none, hi - np.uint64(1), lo)  # nothing to search
         # invariant: lo fails and hi passes
         while True:

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,3 +22,17 @@ def test_package_imports_only_numpy_beyond_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in ALLOWED]
     assert outside == []
+
+
+def test_importing_the_cli_builds_no_parser_and_no_tables():
+    # the benchmark's setup_s times this import: the argument parser and the
+    # LFSR tables are built on first use, not here
+    code = ("import y00sim.cli; from y00sim import kernels; "
+            "print(y00sim.cli._build_parser.cache_info().currsize, "
+            "kernels._lfsr_tables.cache_info().currsize)")
+    src = str(Path(y00sim.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.split() == ["0", "0"]

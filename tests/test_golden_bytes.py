@@ -61,6 +61,22 @@ def test_output_bytes_match_golden_hash(tmp_path, argv, expected):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main() builds its parser once per process: neither the options of one
+    # call nor an argument error may reach the next call
+    config_path = tmp_path / "demo.cfg"
+    config_path.write_text(default_config().to_text(), encoding="utf-8")
+    m15 = tmp_path / "m15.txt"
+    assert cli_main(["run", str(config_path), "--set", "M=15", "--out", str(m15)]) == 0
+    with pytest.raises(SystemExit):
+        cli_main(["run", str(config_path), "--workers", "many"])
+    capsys.readouterr()
+    assert cli_main(["run", str(config_path)]) == 0
+    expected = next(digest for name, _, digest in GOLDEN if name == "run_default")
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == expected
+    assert hashlib.sha256(m15.read_bytes()).hexdigest() != expected
+
+
 @pytest.mark.parametrize("name", ["run_default", "attacks_default"])
 def test_default_reports_match_on_one_blas_thread(tmp_path, name):
     # The pins hold at the default BLAS thread count. At large M the SRM

@@ -92,6 +92,34 @@ LINKS = {
 }
 
 
+def full_range_cuts(mean, sigma, thr):
+    """The cut by bisection over the keys of every finite float64, from the
+    lowest to the highest, the reference for decision_cuts' bracketed search:
+    the largest key that fails, -inf when every finite z passes and the
+    largest float when none does."""
+    def passes(keys):
+        return mean + sigma * kernels._floats(keys) > thr
+
+    with np.errstate(over="ignore"):
+        shape = np.broadcast_shapes(mean.shape, sigma.shape, thr.shape)
+        lo, hi = np.full(shape, kernels._KEY_LOW), np.full(shape, kernels._KEY_HIGH)
+        every, none = passes(lo), ~passes(hi)
+        lo = np.where(every | none, hi - np.uint64(1), lo)
+        while True:
+            mid = lo + ((hi - lo) >> np.uint64(1))
+            if (mid == lo).all():
+                break
+            up = passes(mid)
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return np.where(every, -np.inf, np.where(none, np.finfo(np.float64).max, kernels._floats(lo)))
+
+
+def assert_same_cuts(mean, sigma, thr):
+    """decision_cuts gives the reference's cuts, bit for bit."""
+    cut = kernels.decision_cuts(mean, sigma, thr)
+    assert np.array_equal(cut.view(np.uint64), full_range_cuts(mean, sigma, thr).view(np.uint64))
+
+
 def link_levels(overrides):
     config = ScenarioConfig(**overrides)
     mean_i, sigma_i, thresholds, _ = _link_tables(config.link_params(), config.constellation())
@@ -122,6 +150,7 @@ def assert_exact_cuts(mean, sigma, thr, rng):
 def test_decision_cuts_are_exact_on_link_tables(link):
     m, mean_i, sigma_i, thresholds = link_levels(LINKS[link])
     cut = assert_exact_cuts(mean_i, sigma_i, np.tile(thresholds, 2), np.random.default_rng(m))
+    assert_same_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
     # a low level passes above its cut and a high one below it
     assert np.all(cut[:m] > 0) and np.all(cut[m:] < 0)
 
@@ -140,11 +169,44 @@ def test_decision_cuts_at_the_extremes():
         (-1.0, 1e-300, -1.0), (0.0, 1.0, -0.0),
     ]).T
     cut = assert_exact_cuts(*cases, np.random.default_rng(1))
+    assert_same_cuts(*cases)
     assert list(cut[:4]) == [-np.inf, big, big, big]
     assert cut[4] == -np.inf and cut[5] == big
     # the decision flips far from the naive quotient (thr - mean) / sigma
     mean, sigma, thr = cases[:, 7]
     assert abs(cut[7] / ((thr - mean) / sigma) - 1) > 0.1
+
+
+# both zeros, subnormals and values up to 1e308, so that sigma * z and
+# thr - mean overflow
+FINITE = st.floats(-1e308, 1e308)
+SIGMAS = st.one_of(st.just(-0.0), st.floats(0.0, 1e308))
+
+
+@st.composite
+def decision_levels(draw):
+    """(mean, sigma, thr) of one level: thr anywhere, or within 10 sigma of
+    the mean, where the decision flips for ordinary z."""
+    mean, sigma = draw(FINITE), draw(SIGMAS)
+    near = mean + sigma * draw(st.floats(-10.0, 10.0))
+    return mean, sigma, draw(FINITE) if draw(st.booleans()) or not np.isfinite(near) else near
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(decision_levels(), min_size=1, max_size=8))
+def test_decision_cuts_match_full_range_bisection(levels):
+    assert_same_cuts(*np.array(levels, dtype=np.float64).T)
+
+
+def test_decision_cuts_start_near_the_cut(monkeypatch):
+    # the search starts at (thr - mean) / sigma, a few ulps from a real
+    # link's cut; bisecting the whole float range takes 64 passes or more
+    _, mean_i, sigma_i, thresholds = link_levels({})
+    calls = []
+    floats = kernels._floats
+    monkeypatch.setattr(kernels, "_floats", lambda keys: calls.append(keys) or floats(keys))
+    kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
+    assert 0 < len(calls) <= 12
 
 
 def near_cuts(cuts, rng):
@@ -231,6 +293,33 @@ def test_lfsr_fill_matches_oracle_for_non_maximal_polynomial(state):
 
 def test_lfsr_fill_matches_oracle_from_zero_state():
     assert_matches_oracle(0, LFSR_MASKS[32])
+
+
+# fill requests across the state grid, whose rows span 64 super-blocks:
+# either side of one and two rows, and 300 blocks, five rows found by
+# three coarse doubling levels
+GRID_LENGTHS = (63 * SUPER_BLOCK, 64 * SUPER_BLOCK - 1, 64 * SUPER_BLOCK, 64 * SUPER_BLOCK + 1,
+                65 * SUPER_BLOCK, 128 * SUPER_BLOCK, 129 * SUPER_BLOCK, 300 * SUPER_BLOCK)
+
+
+@pytest.mark.parametrize("state, mask", [
+    *[((0x9E3779B97F4A7C15 >> (64 - w)) | 1, LFSR_MASKS[w]) for w in (8, 16, 32)],
+    (0x9E3779B97F4A7C15, 0xD800000000000000),
+])
+def test_long_lfsr_fill_matches_chained_short_fills(state, mask):
+    # fills of one super-block each, which the bit-by-bit oracle covers,
+    # keeping the state at each block boundary
+    short, states = [], [state]
+    for _ in range(max(GRID_LENGTHS) // SUPER_BLOCK):
+        bits, after = kernels.lfsr_fill(states[-1], mask, SUPER_BLOCK)
+        short.append(bits)
+        states.append(int(after))
+    short = np.concatenate(short)
+    for n in GRID_LENGTHS:
+        k = -(-n // SUPER_BLOCK)
+        bits, after = kernels.lfsr_fill(state, mask, n)
+        assert np.array_equal(bits, short[:k * SUPER_BLOCK]), n
+        assert int(after) == states[k], n
 
 
 @st.composite
