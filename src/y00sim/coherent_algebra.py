@@ -95,12 +95,8 @@ def inner_product(a: MultiModeState, b: MultiModeState) -> complex:
     """
     if a.n_modes != b.n_modes:
         raise DimensionError(f"mode counts differ: {a.n_modes} vs {b.n_modes}")
-    return complex(pair_overlaps(np.asarray(a.modes), np.asarray(b.modes)))
-
-
-def pair_overlaps(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    """Overlaps <a|b> of matched rows of two (..., n_modes) amplitude arrays."""
-    return np.exp(np.sum(-(np.abs(am) ** 2 + np.abs(bm) ** 2) / 2 + np.conj(am) * bm, axis=-1))
+    am, bm = np.asarray(a.modes), np.asarray(b.modes)
+    return complex(np.exp(np.sum(-(np.abs(am) ** 2 + np.abs(bm) ** 2) / 2 + np.conj(am) * bm)))
 
 
 def gram_matrix(ensemble: StateEnsemble) -> np.ndarray:

@@ -12,7 +12,6 @@ significant) plus one polarity bit in OSK mode.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -235,6 +234,8 @@ class KeystreamGenerator:
             out, state = kernels.lfsr_fill(self._state, self.polynomial, n_bits)
             self._state = int(state)
             return out
+        import hashlib  # only this keystream needs it, so the CLI starts without it
+
         first = self._counter
         self._counter += -(-n_bits // 256)
         digests = b"".join(

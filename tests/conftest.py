@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from y00sim.coherent_algebra import MultiModeState
-from y00sim.detection import minimax_pair
 from y00sim.y00_cipher import ConstellationSpec
 
 
@@ -99,17 +98,6 @@ def psd_sqrt_reference(matrix) -> np.ndarray:
 def confusion_reference(s) -> np.ndarray:
     p = np.abs(s.T) ** 2
     return p / p.sum(axis=1, keepdims=True)
-
-
-def worst_pair_reference(levels):
-    """The per-pair minimax_pair scan over neighbouring levels, first maximum
-    kept: ((i, i + 1) 1-based, prior, error)."""
-    worst_error, worst_pair, worst_prior = -1.0, (1, 2), 0.5
-    for i in range(len(levels) - 1):
-        prior, value = minimax_pair(levels[i], levels[i + 1])
-        if value > worst_error:
-            worst_error, worst_prior, worst_pair = value, prior, (i + 1, i + 2)
-    return worst_pair, worst_prior, worst_error
 
 
 @pytest.fixture

