@@ -39,6 +39,13 @@ GOLDEN = [
     ("attacks_phase_ladder_M15_alpha3",
      ["attacks", "{cfg}", "--set", "kind=phase_ladder", "--set", "M=15", "--set", "alpha_max=3"],
      "df0072c4760a6a7729f18563462814fcc749964d0309570546f13541764455f9"),
+    # 2M=128: the shared spec, the Gram's real fast path and the cached
+    # 4-ket root all run under a pin
+    ("attacks_M64_alpha30", ["attacks", "{cfg}", "--set", "M=64", "--set", "alpha_max=30"],
+     "13cc5750949d7ea9e0fd5666b8fb5277441403cc841d8c6c242bd3e5fb18bc19"),
+    ("attacks_phase_ladder_M64_alpha30",
+     ["attacks", "{cfg}", "--set", "kind=phase_ladder", "--set", "M=64", "--set", "alpha_max=30"],
+     "0b0168f1317adbb04c768f67a44bdb91dc49be5c35fe9a3c696067897682bf03"),
     ("sweep_readme_fig2",
      ["sweep", "{cfg}", "--set", "sweep_variable=M", "--set", "sweep_values=2,4,8,16"],
      "1f60ae8d865fd2414b083e74ff1367448714e5d2ae778cd6ea4cd9317b0e85c4"),
@@ -79,10 +86,13 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     assert hashlib.sha256(m15.read_bytes()).hexdigest() != expected
 
 
-@pytest.mark.parametrize("name", ["run_default", "attacks_default"])
+@pytest.mark.parametrize(
+    "name",
+    ["run_default", "attacks_default", "attacks_M64_alpha30", "attacks_phase_ladder_M64_alpha30"],
+)
 def test_default_reports_match_on_one_blas_thread(tmp_path, name):
-    # The pins hold at the default BLAS thread count. At large M the SRM
-    # digits follow the thread count; the default config's must not.
+    # The pins hold at the default BLAS thread count. At large M (M=100
+    # already) the SRM digits follow the thread count; these must not.
     _, argv, expected = next(g for g in GOLDEN if g[0] == name)
     config_path = tmp_path / "demo.cfg"
     config_path.write_text(default_config().to_text(), encoding="utf-8")
