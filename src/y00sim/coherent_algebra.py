@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -112,8 +113,11 @@ def gram_matrix(ensemble: StateEnsemble) -> np.ndarray:
     g = np.conj(amps) @ amps.T
     g += (norms[:, None] + norms[None, :]) / -2
     np.exp(g, out=g)
-    g += g.conj().T
-    g /= 2
+    # with every imaginary part +0.0 the exponent is exactly symmetric, and
+    # so is g: averaging it with its adjoint would change no bit
+    if amps.imag.any() or np.signbit(amps.imag).any():
+        g += g.conj().T
+        g /= 2
     np.fill_diagonal(g, 1.0)
     return g
 
@@ -219,13 +223,7 @@ def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:
     kappa_a = math.exp(-2.0 * a * a)
     if 1.0 - kappa_a**2 == 0.0:
         raise ParameterError(f"alpha={alpha} is too small: the overlap <alpha|-alpha> rounds to 1")
-    kets = [
-        MultiModeState((a, a)),
-        MultiModeState((a, -a)),
-        MultiModeState((-a, a)),
-        MultiModeState((-a, -a)),
-    ]
-    v = orthonormal_embedding(StateEnsemble.uniform(kets))
+    v = _four_ket_embedding(a)
     u_vec = v[:, 1]  # |alpha, -alpha>
     w_vec = v[:, 2]  # |-alpha, alpha>
 
@@ -250,6 +248,21 @@ def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:
         printed_loss=printed_loss,
         _psi2_coords=psi2,
     )
+
+
+@lru_cache(maxsize=1)  # a probe's states at every eta share one alpha
+def _four_ket_embedding(a: float) -> np.ndarray:
+    """Read-only orthonormal embedding of |+/-a> x |+/-a>, ordered as in
+    ``LossySharedState``; it does not depend on eta."""
+    kets = [
+        MultiModeState((a, a)),
+        MultiModeState((a, -a)),
+        MultiModeState((-a, a)),
+        MultiModeState((-a, -a)),
+    ]
+    v = orthonormal_embedding(StateEnsemble.uniform(kets))
+    v.flags.writeable = False
+    return v
 
 
 class EntangledFraction(NamedTuple):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -28,6 +29,7 @@ from .detection import (
     guess_baseline,
     helstrom_mixed_pair,
     minimax_pair,
+    srm_diagonal,
     srm_error,
 )
 from .errors import ConfigError, IllConditionedEnsembleError, ParameterError
@@ -185,6 +187,11 @@ class ScenarioConfig:
                 )
 
     def constellation(self) -> ConstellationSpec:
+        """The configured ladder: the one (frozen) spec validate() built."""
+        return self._constellation
+
+    @cached_property
+    def _constellation(self) -> ConstellationSpec:
         if self.kind == "intensity_ladder":
             return ConstellationSpec.intensity_ladder(self.m_bases, self.alpha_max)
         return ConstellationSpec.phase_ladder(self.m_bases, self.alpha_max)
@@ -574,7 +581,8 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
     fraction surviving a lossy channel for the configured amplitude."""
     spec = config.constellation()
     worst_prior, worst_error = minimax_pair(*spec.levels[:2])
-    srm_report = srm_error(spec.ensemble())
+    # the error needs only the root's diagonal, not the outcome distribution
+    _, srm_state_error = srm_diagonal(orthonormal_embedding(spec.ensemble()))
 
     if spec.kind == "intensity_ladder":
         probe_alpha = float(spec.level_amplitudes()[0])
@@ -596,7 +604,7 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
     return AttackReport(
         worst_pair_prior=worst_prior,
         worst_pair_error=worst_error,
-        srm_state_error=srm_report.error_probability,
+        srm_state_error=srm_state_error,
         guessing_error=guess_baseline(len(spec.levels)),
         probe_alpha=probe_alpha,
         fraction_rows=tuple(rows),

@@ -295,9 +295,10 @@ def _check_alpha_max(alpha_max: float) -> None:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConstellationSpec:
-    """The 2M-level signal set and its pairing into M bases."""
+    """The 2M-level signal set and its pairing into M bases. Frozen: a
+    config builds its spec once and every reader shares it."""
 
     kind: str
     m_bases: int

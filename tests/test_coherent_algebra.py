@@ -24,6 +24,28 @@ def single(alpha):
     return MultiModeState.single(alpha)
 
 
+# Two-mode ensembles on either side of gram_matrix's test for imaginary
+# parts that are all +0.0; the mixed ones need its symmetrising step.
+GRAM_CASES = [
+    pytest.param(kind, two_m, 3.0, id=f"{kind}-2M{two_m}-a3")
+    for kind in ("imag_minus_zero", "real_and_complex", "real_two_mode")
+    for two_m in (30, 130)
+]
+
+
+def gram_case(kind, two_m, alpha):
+    if kind in ("intensity_ladder", "phase_ladder"):
+        return ladder(kind, two_m, alpha)
+    x = np.random.default_rng(two_m).normal(scale=alpha, size=(two_m, 2))
+    if kind == "imag_minus_zero":
+        rows = [[complex(v, -0.0) for v in row] for row in x]
+    elif kind == "real_and_complex":
+        rows = [row + 1j * x[-1 - i] if i % 2 else row for i, row in enumerate(x)]
+    else:
+        rows = x
+    return StateEnsemble.uniform([MultiModeState(tuple(row)) for row in rows])
+
+
 class TestInnerProduct:
     def test_self_overlap_is_one(self):
         assert inner_product(single(1.3 + 0.2j), single(1.3 + 0.2j)) == pytest.approx(1.0, abs=1e-12)
@@ -83,10 +105,10 @@ class TestGramMatrix:
         w_operator = np.sort(np.linalg.eigvalsh(operator))
         assert np.allclose(w_matrix, w_operator, atol=1e-10)
 
-    @pytest.mark.parametrize("kind, two_m, alpha", LADDER_CASES)
+    @pytest.mark.parametrize("kind, two_m, alpha", LADDER_CASES + GRAM_CASES)
     def test_bit_identical_to_reference(self, kind, two_m, alpha):
-        ens = ladder(kind, two_m, alpha)
-        assert np.array_equal(gram_matrix(ens), gram_reference(ens))
+        ens = gram_case(kind, two_m, alpha)
+        assert gram_matrix(ens).tobytes() == gram_reference(ens).tobytes()
 
     def test_leaves_ensemble_unchanged(self, rng):
         modes = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))

@@ -1,4 +1,5 @@
 import codecs
+import dataclasses
 import io
 import re
 import shlex
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from y00sim import fiber_link
+from y00sim import coherent_algebra, fiber_link, scenario
 from y00sim.cli import main as cli_main
 from y00sim.detection import srm_error
 from y00sim.errors import ConfigError, ParameterError
 from y00sim.fiber_link import ber_on_off, decision_point, level_photon_rate
+from y00sim.y00_cipher import ConstellationSpec
 from y00sim.scenario import (
     CHUNK_SIZE,
     CsvSeries,
@@ -210,6 +212,53 @@ def test_one_gram_eigensolve_per_command(monkeypatch, command):
     calls = count_eigensolves(monkeypatch, 2 * config.m_bases)
     command(config)
     assert calls == ["eigh"]
+
+
+def test_attacks_takes_one_probe_root(monkeypatch):
+    # the 4-ket embedding depends only on the probe amplitude, so the nine
+    # eta of the sweep share one 4 x 4 eigh (each state's PSD check is an eigvalsh)
+    coherent_algebra._four_ket_embedding.cache_clear()
+    calls = count_eigensolves(monkeypatch, 4)
+    attack_suite(default_config())
+    assert calls.count("eigh") == 1
+
+
+def test_attacks_never_forms_the_confusion_matrix(monkeypatch):
+    # the SRM error needs only the root's diagonal; srm_error alone builds
+    # the 2M x 2M outcome distribution, for run's bit-guess cuts
+    calls = []
+
+    def counted(*args, _original=scenario.srm_error):
+        calls.append(len(args[0]))
+        return _original(*args)
+
+    monkeypatch.setattr(scenario, "srm_error", counted)
+    attack_suite(default_config())
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["run", "attacks"])
+def test_cli_builds_one_constellation(tmp_path, monkeypatch, command):
+    config_path = tmp_path / "demo.cfg"
+    config_path.write_text(default_config().to_text(), encoding="utf-8")
+    built = []
+
+    def counted(self, _original=ConstellationSpec.__post_init__):
+        built.append(self.kind)
+        _original(self)
+
+    monkeypatch.setattr(ConstellationSpec, "__post_init__", counted)
+    assert cli_main([command, str(config_path), "--set", "trials=1000",
+                     "--out", str(tmp_path / "out.txt")]) == 0
+    assert built == ["intensity_ladder"]
+
+
+def test_constellation_is_shared_and_frozen():
+    config = default_config()
+    spec = config.constellation()
+    assert config.constellation() is spec
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.levels = spec.levels[:2]
 
 
 def test_non_overlap_run_takes_one_gram_root(monkeypatch):
