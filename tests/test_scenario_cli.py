@@ -15,7 +15,6 @@ from y00sim.cli import main as cli_main
 from y00sim.detection import srm_error
 from y00sim.errors import ConfigError, ParameterError
 from y00sim.fiber_link import ber_on_off, decision_point, level_photon_rate
-from y00sim.y00_cipher import ConstellationSpec
 from y00sim.scenario import (
     CHUNK_SIZE,
     CsvSeries,
@@ -27,6 +26,7 @@ from y00sim.scenario import (
     run_scenario,
     sweep,
 )
+from y00sim.y00_cipher import ConstellationSpec
 
 
 def small_config(**kwargs) -> ScenarioConfig:
