@@ -158,19 +158,22 @@ class ScenarioConfig:
                     raise ConfigError(f"{key}: must be <= {high[0]}, got {value}")
         if self.sweep_variable is not None and not self.sweep_values:
             raise ConfigError("sweep_values: empty sweep list")
+        if self.sweep_values and len(set(self.sweep_values)) < len(self.sweep_values):
+            # each row of a sweep is keyed by its value
+            raise ConfigError(f"sweep_values: a value is repeated in {self.sweep_values}")
         try:
             spec = self.constellation()
         except ParameterError as exc:
             # kind and M have passed their own checks: the peak is at fault
             raise ConfigError(f"alpha_max: {exc}") from exc
-        values = self._link_values()
-        fault = _link_fault(values, spec)
+        fault = self._link[1]
         if fault is not None:
             # name the link keys that, each set back to its default alone,
             # make the link valid (all of them if none does)
+            values = self._link_values()
             culprits = [
                 key for key in _LINK_KEYS
-                if _link_fault({**values, _FIELDS[key].name: _FIELDS[key].default}, spec) is None
+                if _link_check({**values, _FIELDS[key].name: _FIELDS[key].default}, spec)[1] is None
             ]
             raise ConfigError(f"{', '.join(culprits or _LINK_KEYS)}: {fault}")
         try:
@@ -195,6 +198,12 @@ class ScenarioConfig:
         if self.kind == "intensity_ladder":
             return ConstellationSpec.intensity_ladder(self.m_bases, self.alpha_max)
         return ConstellationSpec.phase_ladder(self.m_bases, self.alpha_max)
+
+    @cached_property
+    def _link(self) -> tuple:
+        """(tables, fault) of the configured link, from the one build that
+        validate() checks and run_scenario reads."""
+        return _link_check(self._link_values(), self.constellation())
 
     def _link_values(self) -> dict:
         return {_FIELDS[key].name: getattr(self, _FIELDS[key].name) for key in _LINK_KEYS}
@@ -360,18 +369,20 @@ def _link_tables(params: LinkParams, spec: ConstellationSpec):
     return mean_i, sigma_i, thresholds, basis_ber
 
 
-def _link_fault(values: dict, spec: ConstellationSpec) -> Optional[str]:
-    """Why the link with ``LinkParams`` fields ``values`` is unusable on
-    ``spec``, or None: a value out of its range or, on an intensity ladder,
-    a level current or noise or a basis threshold or BER that is not finite
-    in double precision, or a noise-free basis (analytic BER 0) whose
-    threshold does not split its off and on currents."""
+def _link_check(values: dict, spec: ConstellationSpec) -> tuple[Optional[tuple], Optional[str]]:
+    """(tables, fault) of the link with ``LinkParams`` fields ``values`` on
+    ``spec``: its read-only ``_link_tables`` on a usable intensity ladder
+    (else None), and why it is unusable (else None): a value out of its
+    range or, on an intensity ladder, a level current or noise or a basis
+    threshold or BER that is not finite in double precision, or a
+    noise-free basis (analytic BER 0) whose threshold does not split its
+    off and on currents."""
     try:
         params = LinkParams(**values)
     except ParameterError as exc:
-        return str(exc)
+        return None, str(exc)
     if spec.kind != "intensity_ladder":
-        return None
+        return None, None
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             tables = _link_tables(params, spec)
@@ -388,8 +399,10 @@ def _link_fault(values: dict, spec: ConstellationSpec) -> Optional[str]:
         elif (noise_free & ~split).any():
             fault = "a noise-free basis's threshold does not split its currents"
         else:
-            return None
-    return f"the link budget is out of double-precision range ({fault})"
+            for table in tables:
+                table.flags.writeable = False  # a config shares them with every run
+            return tables, None
+    return None, f"the link budget is out of double-precision range ({fault})"
 
 
 def _eve_cuts(confusion: np.ndarray, m: int) -> np.ndarray:
@@ -413,7 +426,7 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
     spec = config.constellation()
     assignment = BasisAssignment(config.assignment)
     m = spec.m_bases
-    mean_i, sigma_i, thresholds, basis_ber = _link_tables(config.link_params(), spec)
+    mean_i, sigma_i, thresholds, basis_ber = config._link[0]
 
     # the levels are the distinct kets of either assignment's bit mixtures
     ensemble = spec.ensemble()

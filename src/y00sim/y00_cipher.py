@@ -357,11 +357,29 @@ class ConstellationSpec:
 
 
 def _decode(windows: np.ndarray, n_bits: int, lane) -> np.ndarray:
-    """The value of each row's first ``n_bits`` >= 1 bits, first bit most significant."""
-    v = windows[:, 0].astype(lane)
-    for b in range(1, n_bits):
-        v <<= 1
-        v |= windows[:, b]
+    """The value of each row's first ``n_bits`` >= 1 bits, first bit most
+    significant; the rows are 0/1 bytes along a contiguous last axis.
+
+    The bits are read in groups of 8, 4, 2 and 1 bytes, each as one
+    little-endian word, so byte k of a w-byte group sits at bit 8k. Times
+    sum_k 2^(8w-1-9k) and shifted right by 7w, byte k's bit lands on bit
+    w-1-k: every partial product sets a bit of its own, so nothing carries.
+    The groups tile the n bits exactly, so no read passes them.
+    """
+    v = np.empty(len(windows), dtype=lane)
+    at = 0
+    for w in (8, 4, 2, 1):
+        while n_bits - at >= w:
+            group = windows[:, at:at + w].view(f"<u{w}")[:, 0] * sum(
+                1 << (8 * w - 1 - 9 * k) for k in range(w)
+            )
+            group >>= 7 * w
+            if at:
+                v <<= w
+                v |= group
+            else:
+                v[...] = group
+            at += w
     return v
 
 

@@ -14,6 +14,7 @@ from y00sim.y00_cipher import (
     ConstellationSpec,
     KeystreamGenerator,
     SeedKey,
+    _decode,
     _is_prime,
     _prime_factors,
     bob_decode,
@@ -288,7 +289,9 @@ class TestBufferedKeystream:
         assert np.array_equal(bulk.take(256), stream[used:used + 256])
 
     @pytest.mark.parametrize("tail", [False, True])
-    @pytest.mark.parametrize("bound", [1, 3, 15, 255, 256, 257, 1024])
+    # n = ceil(log2 bound) from 0 to 10 covers every split into 8-, 4-, 2- and 1-byte groups
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 8, 15, 32, 33, 64, 100, 128, 255, 256, 257,
+                                       512, 513, 1024])
     def test_draws_at_the_lane_boundaries(self, bound, tail):
         # values come in the narrowest unsigned dtype holding every n-bit
         # attempt; a 3-draw lead-in misaligns the batch that crosses a chunk
@@ -303,6 +306,24 @@ class TestBufferedKeystream:
         assert np.array_equal(gen.take(256), stream[used:used + 256])
         assert values.dtype.itemsize == (1 if bound <= 256 else 2)
         assert np.iinfo(values.dtype).max >= bound - 1
+
+    @pytest.mark.parametrize("n_bits", [*range(1, 18), 31, 32, 33, 63, 64])
+    def test_decode_matches_the_bit_loop(self, n_bits):
+        lane = np.min_scalar_type((1 << n_bits) - 1)
+        bits = np.random.default_rng(n_bits).integers(0, 2, 5000, dtype=np.uint8)
+        bits.flags.writeable = False
+
+        def bit_loop(windows):
+            return [int("".join(map(str, row[:n_bits])), 2) for row in windows.tolist()]
+
+        for stride in (n_bits, n_bits + 1):
+            # fixed-stride rows, the last ending at the end of the buffer
+            rows = bits[bits.size % stride:].reshape(-1, stride)
+            decoded = _decode(rows, n_bits, lane)
+            assert decoded.dtype == lane and decoded.tolist() == bit_loop(rows)
+        # every offset's window, the last ending at the end of a read-only buffer
+        windows = np.lib.stride_tricks.sliding_window_view(bits, n_bits)
+        assert _decode(windows, n_bits, lane).tolist() == bit_loop(windows)
 
     def test_bound_one_reads_only_the_tail_bits(self):
         # M=1 under OSK: no basis bits, so each draw is value 0 and one bit

@@ -40,6 +40,7 @@ KEPT = {
     "coherent_algebra.quasi_bell_reduced_eigenvalues": "acceptance criterion 7",
     "fiber_link.ber_on_off": "acceptance criterion 9",
     "fiber_link.bob_practical_vs_optimal": "acceptance criterion 9",
+    "scenario.ScenarioConfig.link_params": "acceptance criterion 9",
     "y00_cipher.ConstellationSpec.basis_pair": "acceptance criterion 9",
     "kernels.backend_name": "the benchmark harness reports it",
     "overlap_coding.encode_block": "the reference pattern_array is tested against",

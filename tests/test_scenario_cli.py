@@ -57,6 +57,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="trials"):
             ScenarioConfig.from_text(default_config().to_text(), ("trials=many",))
 
+    def test_repeated_sweep_value_is_a_config_error(self, tmp_path, capsys):
+        # two rows keyed by one value would repeat one run
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(small_config(trials=100).to_text())
+        argv = ["sweep", str(config_path), "--set", "sweep_variable=M",
+                "--set", "sweep_values=4,2,4", "--out", str(tmp_path / "out.csv")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep_values: ")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_invalid_field_combination(self):
         with pytest.raises(ConfigError, match="sweep_values"):
             sweep(replace(default_config(), sweep_variable="M", sweep_values=None))
@@ -251,6 +261,22 @@ def test_cli_builds_one_constellation(tmp_path, monkeypatch, command):
     assert cli_main([command, str(config_path), "--set", "trials=1000",
                      "--out", str(tmp_path / "out.txt")]) == 0
     assert built == ["intensity_ladder"]
+
+
+def test_run_builds_the_link_tables_once(tmp_path, monkeypatch):
+    # validate() checks the tables that run_scenario then reads
+    config_path = tmp_path / "demo.cfg"
+    config_path.write_text(default_config().to_text(), encoding="utf-8")
+    built = []
+
+    def counted(params, spec, _original=scenario._link_tables):
+        built.append(spec.m_bases)
+        return _original(params, spec)
+
+    monkeypatch.setattr(scenario, "_link_tables", counted)
+    assert cli_main(["run", str(config_path), "--set", "trials=1000",
+                     "--out", str(tmp_path / "out.txt")]) == 0
+    assert built == [16]
 
 
 def test_constellation_is_shared_and_frozen():
