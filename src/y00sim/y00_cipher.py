@@ -370,9 +370,8 @@ def _decode(windows: np.ndarray, n_bits: int, lane) -> np.ndarray:
     at = 0
     for w in (8, 4, 2, 1):
         while n_bits - at >= w:
-            group = windows[:, at:at + w].view(f"<u{w}")[:, 0] * sum(
-                1 << (8 * w - 1 - 9 * k) for k in range(w)
-            )
+            spread = sum(1 << (8 * w - 1 - 9 * k) for k in range(w))
+            group = windows[:, at:at + w].view(f"<u{w}")[:, 0] * spread
             group >>= 7 * w
             if at:
                 v <<= w
