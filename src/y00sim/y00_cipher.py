@@ -364,20 +364,25 @@ def _decode(windows: np.ndarray, n_bits: int, lane) -> np.ndarray:
     little-endian word, so byte k of a w-byte group sits at bit 8k. Times
     sum_k 2^(8w-1-9k) and shifted right by 7w, byte k's bit lands on bit
     w-1-k: every partial product sets a bit of its own, so nothing carries.
-    The groups tile the n bits exactly, so no read passes them.
+    The groups tile the n bits exactly, so no read passes them. Rows go
+    _DRAW_CHUNK at a time, so a word temporary stays within 8 * _DRAW_CHUNK
+    bytes, even over a tail walk's every offset.
     """
     v = np.empty(len(windows), dtype=lane)
     at = 0
     for w in (8, 4, 2, 1):
         while n_bits - at >= w:
             spread = sum(1 << (8 * w - 1 - 9 * k) for k in range(w))
-            group = windows[:, at:at + w].view(f"<u{w}")[:, 0] * spread
-            group >>= 7 * w
-            if at:
-                v <<= w
-                v |= group
-            else:
-                v[...] = group
+            words = windows[:, at:at + w].view(f"<u{w}")[:, 0]
+            for lo in range(0, len(v), _DRAW_CHUNK):
+                group = words[lo:lo + _DRAW_CHUNK] * spread
+                group >>= 7 * w
+                part = v[lo:lo + _DRAW_CHUNK]
+                if at:
+                    part <<= w
+                    part |= group
+                else:
+                    part[...] = group
             at += w
     return v
 

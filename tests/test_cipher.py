@@ -310,7 +310,8 @@ class TestBufferedKeystream:
     @pytest.mark.parametrize("n_bits", [*range(1, 18), 31, 32, 33, 63, 64])
     def test_decode_matches_the_bit_loop(self, n_bits):
         lane = np.min_scalar_type((1 << n_bits) - 1)
-        bits = np.random.default_rng(n_bits).integers(0, 2, 5000, dtype=np.uint8)
+        # past _DRAW_CHUNK rows, so the decode runs in more than one slice
+        bits = np.random.default_rng(n_bits).integers(0, 2, 2 * _DRAW_CHUNK + 77, dtype=np.uint8)
         bits.flags.writeable = False
 
         def bit_loop(windows):
