@@ -102,7 +102,7 @@ def inner_product(a: MultiModeState, b: MultiModeState) -> complex:
 
 def gram_matrix(ensemble: StateEnsemble) -> np.ndarray:
     """Pairwise-overlap matrix G_ij = <psi_i|psi_j> of an ensemble, Hermitian
-    with unit diagonal by construction (its PSD check is psd_matrix_sqrt's).
+    with unit diagonal by construction (its PSD check is _eigen_factor's).
 
     The nonzero spectrum of this matrix coincides with that of the Gram
     operator sum_i |psi_i><psi_i| built from the same (unweighted) kets.
@@ -122,8 +122,9 @@ def gram_matrix(ensemble: StateEnsemble) -> np.ndarray:
     return g
 
 
-def psd_matrix_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
+def _eigen_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, sqrt(w)) for the eigendecomposition U diag(w) U^dagger of a
+    positive-semidefinite matrix, whose root is then U diag(sqrt(w)) U^dagger.
 
     Eigenvalues in [-1e-8, 0) and positive values below the relative
     rounding floor (max eigenvalue * n * eps) are treated as exact zeros;
@@ -131,14 +132,23 @@ def psd_matrix_sqrt(matrix: np.ndarray) -> np.ndarray:
     signals a numerically broken ensemble rather than rounding.
     """
     w, u = np.linalg.eigh(matrix)
-    del matrix  # the caller's temporary Gram matrix is freed here
+    del matrix  # a temporary Gram matrix passed straight in is freed here
     if w.min() < -_GRAM_NEG_TOL:
         raise IllConditionedEnsembleError(
             f"matrix has eigenvalue {w.min():.3e} below -{_GRAM_NEG_TOL:g}"
         )
     floor = max(w.max(), 0.0) * len(w) * np.finfo(float).eps
-    w = np.where(w > floor, w, 0.0)
-    scaled = u * np.sqrt(w)
+    return u, np.sqrt(np.where(w > floor, w, 0.0))
+
+
+def psd_matrix_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a positive-semidefinite matrix, with
+    _eigen_factor's treatment of negative and rounding-level eigenvalues."""
+    u, root_w = _eigen_factor(matrix)
+    # a caller's temporary goes before the scaled copy of u is made, so at
+    # most three n x n arrays are live at once
+    del matrix
+    scaled = u * root_w
     return scaled @ np.conjugate(u, out=u).T
 
 
@@ -150,6 +160,14 @@ def orthonormal_embedding(ensemble: StateEnsemble) -> np.ndarray:
     This is the one path from an ensemble to its Gram square root.
     """
     return psd_matrix_sqrt(gram_matrix(ensemble))
+
+
+def embedding_diagonal(ensemble: StateEnsemble) -> np.ndarray:
+    """The diagonal of orthonormal_embedding(ensemble), read off the same
+    eigenvectors without the n x n product: S_ii = sum_k sqrt(w_k) |U_ik|^2,
+    one row dot per state, so only the scaled copy of U is live beside U."""
+    u, root_w = _eigen_factor(gram_matrix(ensemble))
+    return np.vecdot(u, u * root_w)
 
 
 def quasi_bell_reduced_eigenvalues(kappa_a: float, kappa_b: float) -> tuple[float, float]:

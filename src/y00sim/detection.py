@@ -119,7 +119,7 @@ def srm_error(ensemble: StateEnsemble, embedding: Optional[np.ndarray] = None) -
     if np.max(np.abs(ensemble.priors - 1.0 / n)) > 1e-12:
         raise ParameterError("the square-root measurement here is defined for uniform priors")
     s = orthonormal_embedding(ensemble) if embedding is None else embedding
-    per_state, error = srm_diagonal(s)
+    per_state, error = srm_diagonal(np.diag(s))
     confusion = np.abs(s.T)
     np.square(confusion, out=confusion)
     confusion /= confusion.sum(axis=1, keepdims=True)
@@ -130,13 +130,13 @@ def srm_error(ensemble: StateEnsemble, embedding: Optional[np.ndarray] = None) -
     )
 
 
-def srm_diagonal(s: np.ndarray) -> tuple[np.ndarray, float]:
+def srm_diagonal(diagonal: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-state success probabilities |S_ii|^2 and the capped average
-    error of the square-root measurement whose Gram root is ``s``; see
-    srm_error, which adds the outcome distribution."""
-    n = len(s)
+    error of the square-root measurement whose Gram root S has the given
+    ``diagonal``; see srm_error, which adds the outcome distribution."""
+    n = len(diagonal)
     # |S_ii|^2 overshoots 1 by rounding for nearly orthogonal ensembles
-    per_state = np.clip(np.abs(np.diag(s)) ** 2, 0.0, 1.0)
+    per_state = np.clip(np.abs(diagonal) ** 2, 0.0, 1.0)
     error = 1.0 - float(per_state.mean())
     return per_state, min(max(error, 0.0), (n - 1) / n)
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import kernels
 from .coherent_algebra import (
     EntangledFraction,
+    embedding_diagonal,
     entangled_fraction,
     lossy_shared_state,
     orthonormal_embedding,
@@ -188,6 +189,8 @@ class ScenarioConfig:
                     f"lfsr_poly: 0x{self.lfsr_poly:X} does not give a {seed.n}-bit LFSR "
                     f"the maximal period 2^{seed.n} - 1"
                 )
+        if self.sweep_variable is not None:
+            self._sweep_points  # a bad point stops here, before any point runs
 
     def constellation(self) -> ConstellationSpec:
         """The configured ladder: the one (frozen) spec validate() built."""
@@ -204,6 +207,12 @@ class ScenarioConfig:
         """(tables, fault) of the configured link, from the one build that
         validate() checks and run_scenario reads."""
         return _link_check(self._link_values(), self.constellation())
+
+    @cached_property
+    def _sweep_points(self) -> tuple["ScenarioConfig", ...]:
+        """The sweep's points in ascending order, built (so validated) by
+        validate() and run by sweep()."""
+        return tuple(self.with_value(self.sweep_variable, v) for v in sorted(self.sweep_values))
 
     def _link_values(self) -> dict:
         return {_FIELDS[key].name: getattr(self, _FIELDS[key].name) for key in _LINK_KEYS}
@@ -517,8 +526,7 @@ def sweep(config: ScenarioConfig) -> CsvSeries:
     ]
     swept = _FIELDS[config.sweep_variable].name
     rows = []
-    for value in sorted(config.sweep_values):
-        point = config.with_value(config.sweep_variable, value)
+    for point in config._sweep_points:
         report = run_scenario(point)
         rows.append((getattr(point, swept), *(getattr(report, name) for name in columns)))
     return CsvSeries((config.sweep_variable, *columns), tuple(rows))
@@ -593,10 +601,8 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
     """Neighbour-pair minimax, 2M-state SRM vs guessing, and the entangled
     fraction surviving a lossy channel for the configured amplitude."""
     spec = config.constellation()
-    worst_prior, worst_error = minimax_pair(*spec.levels[:2])
-    # the error needs only the root's diagonal, not the outcome distribution
-    _, srm_state_error = srm_diagonal(orthonormal_embedding(spec.ensemble()))
-
+    # the probes run first: their floor is a config error, and it should
+    # stop the command before the 2M-state root
     if spec.kind == "intensity_ladder":
         probe_alpha = float(spec.level_amplitudes()[0])
     else:
@@ -614,6 +620,9 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
         fraction: EntangledFraction = entangled_fraction(state)
         rows.append((eta, fraction.fraction, fraction.closed_form))
 
+    worst_prior, worst_error = minimax_pair(*spec.levels[:2])
+    # the error needs only the root's diagonal, not the root or the outcome distribution
+    _, srm_state_error = srm_diagonal(embedding_diagonal(spec.ensemble()))
     return AttackReport(
         worst_pair_prior=worst_prior,
         worst_pair_error=worst_error,

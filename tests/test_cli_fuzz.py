@@ -1,7 +1,7 @@
 """Seeded fuzz of the command line: `run`, `sweep` and `attacks` over valid
 and boundary key sets either succeed with every probability in [0, 1], stop
-with a config error (exit 2), or stop with a single `error: ` line (exit 1),
-never with another exception or a RuntimeWarning."""
+with a config error (exit 2) before any work, or stop with a single
+`error: ` line (exit 1), never with another exception or a RuntimeWarning."""
 
 import contextlib
 import io
@@ -10,6 +10,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from y00sim import kernels, scenario, y00_cipher
 from y00sim.cli import main as cli_main
 from y00sim.scenario import TrialReport
 from y00sim.y00_cipher import LFSR_MASKS
@@ -47,12 +48,34 @@ VALID = {
     "coding": st.sampled_from(["on", "off"]),
     "master_rng_seed": st.integers(0, 2**64).map(str),
 }
-SWEEPS = st.one_of(
-    st.tuples(st.just("M"), st.lists(st.integers(1, 64).map(str), min_size=1, max_size=3)),
-    st.tuples(st.just("alpha_max"), st.lists(_floats(["1"], 0.5, 1e4), min_size=1, max_size=3)),
-    st.tuples(st.just("N"), st.lists(st.integers(0, 20).map(str), min_size=1, max_size=3)),
-    st.tuples(st.just("n_mean"), st.lists(_floats(["1e13"], 1e9, 1e16), min_size=1, max_size=3)),
-)
+SWEEP_VALUES = {
+    "M": st.integers(1, 64).map(str),
+    "alpha_max": _floats(["1"], 0.5, 1e4),
+    "N": st.integers(0, 20).map(str),
+    "n_mean": _floats(["1e13"], 1e9, 1e16),
+}
+# a sweep value out of its key's range; sorted last, it is the last point
+BAD_LAST_SWEEP_VALUE = {
+    "M": ["1025", "64.5"], "alpha_max": ["1e10"], "N": ["20.5"], "n_mean": ["1e300"],
+}
+
+
+@st.composite
+def sweeps(draw):
+    """A sweep key with up to 3 valid values, perhaps then a bad one."""
+    key = draw(st.sampled_from(sorted(SWEEP_VALUES)))
+    values = draw(st.lists(SWEEP_VALUES[key], min_size=1, max_size=3))
+    tail = draw(st.one_of(st.none(), st.sampled_from(BAD_LAST_SWEEP_VALUE[key])))
+    return key, values + ([tail] if tail is not None else [])
+
+
+# A config error must stop a command before these: the 2M-state roots, Bob's
+# decision cuts and the keyed draws. (The attacks probe's own 4x4 root comes
+# before its floor check, which fails on that root.)
+WORK = [
+    (scenario, "orthonormal_embedding"), (scenario, "embedding_diagonal"),
+    (kernels, "decision_cuts"), (scenario, "draw_uniform"), (y00_cipher, "draw_uniform"),
+]
 # a step past a range, or a value out of double-precision reach (exit 2)
 OUT_OF_RANGE = [
     "M=0", "M=1025", "alpha_max=5e-324", "alpha_max=1e10", "G_p=0.5", "G_p=1e200",
@@ -107,7 +130,7 @@ def _probabilities_in_range(command: str, out: str) -> bool:
 @given(
     command=st.sampled_from(["run", "sweep", "attacks"]),
     values=key_sets(),
-    swept=st.one_of(st.none(), SWEEPS),
+    swept=st.one_of(st.none(), sweeps()),
     bad=st.one_of(st.none(), st.sampled_from(OUT_OF_RANGE)),
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -123,12 +146,21 @@ def test_cli_exits_cleanly_with_probabilities_in_range(empty_config, command, va
     for item in overrides:
         argv += ["--set", item]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
+    worked = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in WORK:
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                worked.append(_name)
+                return _original(*args, **kwargs)
+
+            patch.setattr(module, name, counted)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
     if code == 0:
         assert _probabilities_in_range(command, out.getvalue()), (argv, out.getvalue())
     elif code == 2:
         assert err.getvalue().startswith("config error: "), (argv, err.getvalue())
+        assert worked == [], (argv, worked)
     else:
         assert code == 1, argv
         lines = err.getvalue().splitlines()

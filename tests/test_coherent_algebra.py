@@ -6,6 +6,7 @@ import pytest
 from y00sim.coherent_algebra import (
     MultiModeState,
     StateEnsemble,
+    embedding_diagonal,
     entangled_fraction,
     gram_matrix,
     inner_product,
@@ -167,6 +168,43 @@ class TestOrthonormalEmbedding:
         v = orthonormal_embedding(ens)
         g = gram_matrix(ens)
         assert np.max(np.abs(v.conj().T @ v - g)) < 1e-10
+
+
+class TestEmbeddingDiagonal:
+    """embedding_diagonal reads the root's diagonal off the eigenvectors; it
+    sums in another order than the product, so it agrees to rounding."""
+
+    @staticmethod
+    def off_root_diagonal(ens) -> float:
+        root = psd_matrix_sqrt(gram_matrix(ens))
+        return float(np.max(np.abs(embedding_diagonal(ens) - np.diag(root))))
+
+    @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.5, 3.0, 30.0, 100.0])
+    def test_matches_the_roots_diagonal_on_ladders(self, kind, alpha):
+        for m in range(1, 65):
+            assert self.off_root_diagonal(ladder(kind, 2 * m, alpha)) <= 1e-14, m
+
+    @pytest.mark.parametrize("kind, two_m, alpha", GRAM_CASES + LADDER_CASES)
+    def test_matches_the_roots_diagonal_on_gram_cases(self, kind, two_m, alpha):
+        assert self.off_root_diagonal(gram_case(kind, two_m, alpha)) <= 1e-14
+
+    def test_matches_the_roots_diagonal_on_random_ensembles(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 48))
+            scale = float(rng.choice([0.1, 1.0, 5.0]))
+            states = [single(complex(*rng.normal(scale=scale, size=2))) for _ in range(n)]
+            states += states[: int(rng.integers(0, 3))]  # repeated kets: a singular Gram
+            assert self.off_root_diagonal(StateEnsemble.uniform(states)) <= 1e-14
+
+    def test_rejects_what_the_root_rejects(self, monkeypatch):
+        # one eigen-factor step, so one negative-eigenvalue check
+        ens = StateEnsemble.uniform([single(0.0), single(1.0)])
+        rotation = TestPsdMatrixSqrt.ROTATION
+        monkeypatch.setattr("y00sim.coherent_algebra.gram_matrix",
+                            lambda _: rotation @ np.diag([1.0, -2e-8]) @ rotation.T)
+        with pytest.raises(IllConditionedEnsembleError):
+            embedding_diagonal(ens)
 
 
 class TestQuasiBell:

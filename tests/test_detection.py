@@ -8,6 +8,7 @@ import pytest
 from y00sim.coherent_algebra import (
     MultiModeState,
     StateEnsemble,
+    embedding_diagonal,
     inner_product,
     orthonormal_embedding,
 )
@@ -17,6 +18,7 @@ from y00sim.detection import (
     helstrom_mixed_pair,
     helstrom_pure_pair,
     minimax_pair,
+    srm_diagonal,
     srm_error,
 )
 from y00sim.errors import ParameterError
@@ -206,6 +208,18 @@ class TestSrmError:
         finally:
             tracemalloc.stop()
         assert peak <= 3.1 * 640**2 * 16
+
+    def test_diagonal_path_traced_peak_memory(self):
+        # attacks' path frees the Gram after its eigh and forms no root, so
+        # at most two 2M x 2M complex arrays are live at once
+        ens = ConstellationSpec.intensity_ladder(320, 100.0).ensemble()
+        tracemalloc.start()
+        try:
+            srm_diagonal(embedding_diagonal(ens))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 640**2 * 16
 
 
 class TestMinimaxPair:

@@ -67,6 +67,31 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("config error: sweep_values: ")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("values, key", [("2,4,8,16,5000", "M"), ("2,4,5.5", "sweep_values")])
+    def test_bad_last_sweep_point_stops_before_any_point(self, tmp_path, monkeypatch, capsys,
+                                                         values, key):
+        # validate() builds every sweep point, so the last one is checked
+        # before the first one runs
+        runs = []
+        monkeypatch.setattr(scenario, "run_scenario", lambda point: runs.append(point))
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(small_config(trials=100).to_text())
+        argv = ["sweep", str(config_path), "--set", "sweep_variable=M",
+                "--set", f"sweep_values={values}", "--out", str(tmp_path / "out.csv")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert runs == []
+
+    def test_sweep_runs_the_points_validate_built(self, monkeypatch):
+        config = small_config(trials=100, sweep_variable="M", sweep_values=(4.0, 2.0))
+        points = config._sweep_points
+        assert [p.m_bases for p in points] == [2, 4]
+        runs = []
+        monkeypatch.setattr(scenario, "run_scenario", lambda point: runs.append(point) or
+                            run_scenario(point))
+        sweep(config)
+        assert len(runs) == 2 and all(a is b for a, b in zip(runs, points))
+
     def test_invalid_field_combination(self):
         with pytest.raises(ConfigError, match="sweep_values"):
             sweep(replace(default_config(), sweep_variable="M", sweep_values=None))
@@ -224,6 +249,47 @@ def test_one_gram_eigensolve_per_command(monkeypatch, command):
     assert calls == ["eigh"]
 
 
+def count_root_products(monkeypatch, n: int) -> list:
+    """Record every n x n by n x n matmul made with the eigenvectors of an
+    n x n eigh, or with arrays computed from them by ufuncs; a product's
+    result is a plain array again."""
+    products = []
+
+    class Traced(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            def plain(a):
+                return a.view(np.ndarray) if isinstance(a, Traced) else a
+
+            if out is not None:
+                kwargs["out"] = tuple(plain(a) for a in out)
+            result = getattr(ufunc, method)(*(plain(a) for a in inputs), **kwargs)
+            if ufunc is np.matmul:
+                if all(np.shape(a) == (n, n) for a in inputs):
+                    products.append("matmul")
+                return result
+            if out is not None:
+                return out[0] if len(out) == 1 else out
+            return result.view(Traced)
+
+    def traced_eigh(a, *args, _original=np.linalg.eigh, **kwargs):
+        w, u = _original(a, *args, **kwargs)
+        return w, (u.view(Traced) if np.shape(a) == (n, n) else u)
+
+    monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+    return products
+
+
+@pytest.mark.parametrize("command, products", [(run_scenario, ["matmul"]), (attack_suite, [])])
+def test_only_run_forms_the_gram_root(monkeypatch, command, products):
+    # attacks reads the root's diagonal off the eigenvectors of its one eigh
+    # (test_one_gram_eigensolve_per_command); run needs the whole root for
+    # its outcome distribution
+    config = replace(default_config(), trials=1000)
+    seen = count_root_products(monkeypatch, 2 * config.m_bases)
+    command(config)
+    assert seen == products
+
+
 def test_attacks_takes_one_probe_root(monkeypatch):
     # the 4-ket embedding depends only on the probe amplitude, so the nine
     # eta of the sweep share one 4 x 4 eigh (each state's PSD check is an eigvalsh)
@@ -324,9 +390,9 @@ class TestSweep:
         assert series.rows[0][0] == 10
 
     def test_sweep_needs_integer_bases(self):
-        config = small_config(sweep_variable="M", sweep_values=(2.5,))
+        # the config itself is refused, before sweep() could run a point
         with pytest.raises(ConfigError, match="M"):
-            sweep(config)
+            small_config(sweep_variable="M", sweep_values=(2.5,))
 
 
 class TestEmitCsv(object):
