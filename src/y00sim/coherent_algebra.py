@@ -23,6 +23,12 @@ from .errors import DimensionError, IllConditionedEnsembleError, ParameterError
 # Eigenvalues of a Gram matrix this far below zero are not rounding noise.
 _GRAM_NEG_TOL = 1e-8
 
+# Real matrices with more rows than this are factored in real arithmetic.
+# The bound only keeps pinned bytes: the largest pinned ladder Gram has 128
+# rows, and its real factor differs in the last digits. It goes when those
+# pins are next re-pinned, and every real matrix then takes the real solver.
+_COMPLEX_SOLVER_MAX_ROWS = 128
+
 
 def _require_finite(value: complex, name: str) -> complex:
     value = complex(value)
@@ -126,11 +132,17 @@ def _eigen_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(U, sqrt(w)) for the eigendecomposition U diag(w) U^dagger of a
     positive-semidefinite matrix, whose root is then U diag(sqrt(w)) U^dagger.
 
-    Eigenvalues in [-1e-8, 0) and positive values below the relative
-    rounding floor (max eigenvalue * n * eps) are treated as exact zeros;
-    anything more negative raises, since a Gram matrix that far from PSD
-    signals a numerically broken ensemble rather than rounding.
+    A matrix whose imaginary parts are all zero and that has more than
+    _COMPLEX_SOLVER_MAX_ROWS rows, such as a large intensity-ladder Gram, is
+    factored by the real symmetric solver on its real part, with about 4x
+    less arithmetic, and U is then real; every other matrix keeps the
+    complex Hermitian solver. Eigenvalues in [-1e-8, 0) and positive values
+    below the relative rounding floor (max eigenvalue * n * eps) are treated
+    as exact zeros; anything more negative raises, since a Gram matrix that
+    far from PSD signals a numerically broken ensemble rather than rounding.
     """
+    if len(matrix) > _COMPLEX_SOLVER_MAX_ROWS and not matrix.imag.any():
+        matrix = matrix.real
     w, u = np.linalg.eigh(matrix)
     del matrix  # a temporary Gram matrix passed straight in is freed here
     if w.min() < -_GRAM_NEG_TOL:
@@ -143,7 +155,8 @@ def _eigen_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def psd_matrix_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix, with
-    _eigen_factor's treatment of negative and rounding-level eigenvalues."""
+    _eigen_factor's choice of solver and its treatment of negative and
+    rounding-level eigenvalues: the root is real when the real solver ran."""
     u, root_w = _eigen_factor(matrix)
     # a caller's temporary goes before the scaled copy of u is made, so at
     # most three n x n arrays are live at once

@@ -118,7 +118,10 @@ class ScenarioConfig:
     kind: str = _field("kind", _STR, "intensity_ladder",
                        choices=("intensity_ladder", "phase_ladder"))
     # Every command builds and factors 2M x 2M Gram matrices, so time grows
-    # as M^3 and memory as M^2; the README gives the M=1024 figures.
+    # as M^3 and memory as M^2. An intensity ladder's Gram is real, and above
+    # 128 rows (M > 64) it takes the real symmetric solver, with about 4x less
+    # arithmetic than the complex one a phase ladder's Gram needs at every M.
+    # The README gives the M=1024 figures.
     m_bases: int = _field("M", _INT, 16, bound=(">=", 1, 1024))
     alpha_max: float = _field("alpha_max", _FLOAT, 100.0, bound=(">", 0))
     assignment: str = _field("assignment", _STR, "osk", choices=("osk", "non_overlap"))

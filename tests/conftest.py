@@ -61,17 +61,25 @@ def per_draw_values(stream, bound, tail, count):
 
 
 # Both ladders at 2M levels and peak amplitude alpha, for the bit-identity
-# checks against the references below.
+# checks against the references below; 2M = 128 and 130 sit on either side
+# of the size above which a real Gram is factored in real arithmetic.
 LADDER_CASES = [
     pytest.param(kind, two_m, alpha, id=f"{kind}-2M{two_m}-a{alpha:g}")
     for kind in ("intensity_ladder", "phase_ladder")
-    for two_m in (2, 30, 32, 54, 256, 640)
+    for two_m in (2, 30, 32, 54, 128, 130, 256, 640)
     for alpha in (0.5, 3.0, 100.0)
 ]
 
 
 def ladder(kind, two_m, alpha):
     return getattr(ConstellationSpec, kind)(two_m // 2, alpha).ensemble()
+
+
+def solved_real(kind, two_m) -> bool:
+    """Whether the package factors this ladder's Gram with the real solver:
+    an intensity ladder's Gram is real, and above 128 rows it takes that
+    solver. Phase-ladder Grams are complex at every size."""
+    return kind == "intensity_ladder" and two_m > 128
 
 
 # Out-of-place forms of the Gram -> root -> SRM path. Each does the package's

@@ -18,11 +18,32 @@ from y00sim.coherent_algebra import (
 from y00sim.errors import DimensionError, IllConditionedEnsembleError, ParameterError
 from y00sim.y00_cipher import ConstellationSpec
 
-from conftest import LADDER_CASES, fock_overlap, gram_reference, ladder, psd_sqrt_reference
+from conftest import (
+    LADDER_CASES,
+    fock_overlap,
+    gram_reference,
+    ladder,
+    psd_sqrt_reference,
+    solved_real,
+)
 
 
 def single(alpha):
     return MultiModeState.single(alpha)
+
+
+def grid_root_diagonal(two_m, alpha, h=0.2):
+    """Diagonal of the Gram root of the intensity ladder (2M levels up to
+    alpha), from a factor instead of an eigensolve: G = A^T A with A's
+    columns the level wavefunctions pi^(-1/4) exp(-(x - sqrt2 alpha_i)^2/2)
+    sqrt(h) on a step-h grid, where the trapezoid rule converges
+    exponentially. With A = U Sigma V^T the root is V Sigma V^T, whose
+    diagonal carries errors near eps, not eigh's sqrt(eps)."""
+    levels = alpha * np.arange(1, two_m + 1) / two_m
+    x = np.arange(-9.0, math.sqrt(2.0) * alpha + 9.0 + h, h)
+    a = np.pi**-0.25 * math.sqrt(h) * np.exp(-((x[:, None] - math.sqrt(2.0) * levels) ** 2) / 2)
+    _, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    return (vt.T**2) @ sigma
 
 
 # Two-mode ensembles on either side of gram_matrix's test for imaginary
@@ -138,7 +159,21 @@ class TestPsdMatrixSqrt:
     @pytest.mark.parametrize("kind, two_m, alpha", LADDER_CASES)
     def test_bit_identical_to_reference(self, kind, two_m, alpha):
         g = gram_matrix(ladder(kind, two_m, alpha))
-        assert np.array_equal(psd_matrix_sqrt(g), psd_sqrt_reference(g))
+        h = g.real if solved_real(kind, two_m) else g
+        assert np.array_equal(psd_matrix_sqrt(g), psd_sqrt_reference(h))
+
+    @pytest.mark.parametrize("two_m", [256, 640])
+    @pytest.mark.parametrize("alpha", [0.5, 3.0, 30.0, 100.0, 300.0])
+    def test_real_solver_as_accurate_as_the_complex_one(self, two_m, alpha):
+        # both solvers sit at eigh's sqrt(eps) floor; the package's real one
+        # must not lose digits against the complex one the reference runs
+        g = gram_matrix(ladder("intensity_ladder", two_m, alpha))
+        truth = grid_root_diagonal(two_m, alpha) ** 2
+
+        def state_error(root):
+            return np.max(np.abs(np.abs(np.diag(root)) ** 2 - truth))
+
+        assert state_error(psd_matrix_sqrt(g)) <= 1.5 * state_error(psd_sqrt_reference(g)) + 1e-12
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_leaves_input_unchanged(self, dtype, rng):
