@@ -101,7 +101,7 @@ def helstrom_mixed_pair(
     return DetectionReport(error_probability=max(error, 0.0))
 
 
-def srm_error(ensemble: StateEnsemble, embedding: Optional[np.ndarray] = None) -> DetectionReport:
+def srm_error(ensemble: StateEnsemble) -> DetectionReport:
     """Square-root-measurement error and outcome distribution for an
     equal-prior ensemble.
 
@@ -112,13 +112,12 @@ def srm_error(ensemble: StateEnsemble, embedding: Optional[np.ndarray] = None) -
     identical states it degrades to guessing, (N-1)/N, which also caps it
     (tr S >= sqrt(N), so sum_i |S_ii|^2 >= 1). ``confusion`` holds P[i, j] =
     |S_ji|^2 with rows renormalized to sum to exactly 1, which absorbs the
-    rounding lost with near-singular Gram matrices. A given ``embedding``
-    (S, the ensemble's orthonormal_embedding) saves the root.
+    rounding lost with near-singular Gram matrices.
     """
     n = len(ensemble)
     if np.max(np.abs(ensemble.priors - 1.0 / n)) > 1e-12:
         raise ParameterError("the square-root measurement here is defined for uniform priors")
-    s = orthonormal_embedding(ensemble) if embedding is None else embedding
+    s = orthonormal_embedding(ensemble)
     per_state, error = srm_diagonal(np.diag(s))
     confusion = np.abs(s.T)
     np.square(confusion, out=confusion)

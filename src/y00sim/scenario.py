@@ -31,7 +31,6 @@ from .detection import (
     helstrom_mixed_pair,
     minimax_pair,
     srm_diagonal,
-    srm_error,
 )
 from .errors import ConfigError, IllConditionedEnsembleError, ParameterError
 from .fiber_link import LinkParams, decision_point, gaussian_ber, level_photon_rate
@@ -417,17 +416,18 @@ def _link_check(values: dict, spec: ConstellationSpec) -> tuple[Optional[tuple],
     return None, f"the link budget is out of double-precision range ({fault})"
 
 
-def _eve_cuts(confusion: np.ndarray, m: int) -> np.ndarray:
+def _eve_cuts(root: np.ndarray, m: int) -> np.ndarray:
     """Per-level cut of Eve's bit guess: from level l she guesses 1 when
     u > cut[l], for u uniform on [0, 1).
 
-    She guesses 1 when her SRM outcome is an upper-half level. Sampled by
-    inverse CDF, outcome min(#{j: cdf[l, j] < u}, 2M - 1) is >= M exactly when
-    u > cdf[l, M - 1], as each CDF row is nondecreasing; so no per-symbol
-    work grows with M.
+    She guesses 1 when her SRM outcome j, drawn with probability |S_jl|^2
+    down column l of the Gram root S, is an upper-half level: by inverse
+    CDF, exactly when u exceeds the lower half's share of the column. So no
+    per-symbol work grows with M.
     """
-    c = np.cumsum(confusion, axis=1)
-    return c[:, m - 1] / c[:, -1]
+    p = np.abs(root)
+    np.square(p, out=p)
+    return p[:m].sum(axis=0) / p.sum(axis=0)
 
 
 def run_scenario(config: ScenarioConfig) -> TrialReport:
@@ -441,11 +441,10 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
     mean_i, sigma_i, thresholds, basis_ber = config._link[0]
 
     # the levels are the distinct kets of either assignment's bit mixtures
-    ensemble = spec.ensemble()
-    embedding = orthonormal_embedding(ensemble)
-    eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment), embedding)
-    srm_report = srm_error(ensemble, embedding)
-    eve_cut = _eve_cuts(srm_report.confusion, m)
+    root = orthonormal_embedding(spec.ensemble())
+    eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment), root)
+    _, eve_state_error = srm_diagonal(np.diag(root))
+    eve_cut = _eve_cuts(root, m)
     bob_cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
 
     gen = config.keystream_generator()
@@ -493,7 +492,7 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
         eve_bit_error_montecarlo=eve_errors / n,
         eve_bit_error_stderr=_stderr(eve_errors, n),
         eve_bit_error_count=eve_errors,
-        eve_state_error_srm=srm_report.error_probability,
+        eve_state_error_srm=eve_state_error,
         guess_baseline=guess_baseline(2 * m),
         **block_fields,
     )
@@ -614,11 +613,11 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
     for eta in _ETA_SWEEP:
         try:
             state = lossy_shared_state(probe_alpha, eta)
-        except IllConditionedEnsembleError as exc:
+        except (IllConditionedEnsembleError, ParameterError) as exc:
             raise ConfigError(
                 f"alpha_max: the entanglement probe alpha={probe_alpha:g} is below the floor"
                 f" of about {_PROBE_FLOOR:g} of the 4x4 embedding ({exc});"
-                f" need alpha_max >= {_PROBE_FLOOR * config.alpha_max / probe_alpha:.2g}"
+                f" need alpha_max >= {config.alpha_max / probe_alpha * _PROBE_FLOOR:.2g}"
             ) from exc
         fraction: EntangledFraction = entangled_fraction(state)
         rows.append((eta, fraction.fraction, fraction.closed_form))

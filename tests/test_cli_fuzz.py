@@ -28,7 +28,8 @@ def _floats(edges, low, high):
 # trials is always set, as its default is 1e5; it and M stay small
 TRIALS = st.integers(1, 2000).map(str)
 # each key's values inside its range, its inclusive edges among them; an
-# all-zero seed and a vanishing attacks probe are runtime errors (exit 1)
+# all-zero seed is a runtime error (exit 1), a vanishing attacks probe a
+# config error (exit 2)
 VALID = {
     "M": st.integers(1, 64).map(str),
     "kind": st.sampled_from(["intensity_ladder", "phase_ladder"]),

@@ -118,8 +118,6 @@ class TestHelstromMixedPair:
             problem = eve_bit_mixtures(spec, BasisAssignment(mode))
             given = helstrom_mixed_pair(problem, embedding).error_probability
             assert given == helstrom_mixed_pair(problem).error_probability
-        given = srm_error(spec.ensemble(), embedding)
-        assert given.error_probability == srm_error(spec.ensemble()).error_probability
 
 
 class TestSrmError:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from y00sim import kernels
-from y00sim.detection import srm_error
+from y00sim import kernels, scenario
+from y00sim.coherent_algebra import orthonormal_embedding
 from y00sim.overlap_coding import pattern_array
-from y00sim.scenario import ScenarioConfig, _eve_cuts, _link_tables
+from y00sim.scenario import ScenarioConfig
 from y00sim.y00_cipher import LFSR_MASKS, ConstellationSpec
 
 from conftest import lfsr_reference
@@ -34,16 +34,27 @@ def test_srm_sample_handles_u_above_last_entry():
     cdf = np.array([[0.5, 1.0 - 1e-16]])
     u = np.array([1.0 - 1e-17])
     assert srm_outcomes(cdf, np.zeros(1, dtype=np.int64), u)[0] == 1
-    assert (u > _eve_cuts(np.array([[0.5, 0.5 - 1e-16]]), 1)[0]).all()
+    # the root of two nearly identical states: each column of |S|^2 sums to
+    # just under 1
+    a, b = np.sqrt(0.5), np.sqrt(0.5 - 1e-16)
+    root = np.array([[a, b], [b, a]])
+    assert (u > scenario._eve_cuts(root, 1)[0]).all()
 
 
-@pytest.mark.parametrize("m", [1, 3, 15, 16, 320])
-def test_eve_cut_matches_full_row_srm_outcome(m):
+# (M, alpha_max): the complex solver up to 2M=128 (M=16 at 100 is the
+# default config), the real one at 2M=640
+@pytest.mark.parametrize(
+    "m, alpha_max", [(1, 10.0), (3, 10.0), (15, 10.0), (16, 10.0), (16, 100.0), (64, 30.0),
+                     (320, 10.0)]
+)
+def test_eve_cut_matches_full_row_srm_outcome(m, alpha_max):
     rng = np.random.default_rng(m)
-    confusion = srm_error(ConstellationSpec.intensity_ladder(m, 10.0).ensemble()).confusion
-    cdf = np.cumsum(confusion, axis=1)
-    cdf /= cdf[:, -1:]
-    cut = _eve_cuts(confusion, m)
+    root = orthonormal_embedding(ConstellationSpec.intensity_ladder(m, alpha_max).ensemble())
+    # from level l the SRM outcome is j with probability |S_jl|^2: the CDF
+    # runs down each column
+    cdf = np.cumsum(np.abs(root) ** 2, axis=0)
+    cdf = (cdf / cdf[-1]).T
+    cut = scenario._eve_cuts(root, m)
     n = 200_000
     level_idx = rng.integers(0, 2 * m, n)
     u = rng.random(n)
@@ -122,7 +133,9 @@ def assert_same_cuts(mean, sigma, thr):
 
 def link_levels(overrides):
     config = ScenarioConfig(**overrides)
-    mean_i, sigma_i, thresholds, _ = _link_tables(config.link_params(), config.constellation())
+    mean_i, sigma_i, thresholds, _ = scenario._link_tables(
+        config.link_params(), config.constellation()
+    )
     return config.m_bases, mean_i, sigma_i, thresholds
 
 

@@ -38,6 +38,7 @@ EXIT_CODES = [0] * 10 + [2, 1]
 # library API that no command calls, each with the reason it stays
 KEPT = {
     "coherent_algebra.quasi_bell_reduced_eigenvalues": "acceptance criterion 7",
+    "detection.srm_error": "acceptance criteria 1 and 4",
     "fiber_link.ber_on_off": "acceptance criterion 9",
     "fiber_link.bob_practical_vs_optimal": "acceptance criterion 9",
     "scenario.ScenarioConfig.link_params": "acceptance criterion 9",

@@ -299,20 +299,6 @@ def test_attacks_takes_one_probe_root(monkeypatch):
     assert calls.count("eigh") == 1
 
 
-def test_attacks_never_forms_the_confusion_matrix(monkeypatch):
-    # the SRM error needs only the root's diagonal; srm_error alone builds
-    # the 2M x 2M outcome distribution, for run's bit-guess cuts
-    calls = []
-
-    def counted(*args, _original=scenario.srm_error):
-        calls.append(len(args[0]))
-        return _original(*args)
-
-    monkeypatch.setattr(scenario, "srm_error", counted)
-    attack_suite(default_config())
-    assert calls == []
-
-
 @pytest.mark.parametrize("command", ["run", "attacks"])
 def test_cli_builds_one_constellation(tmp_path, monkeypatch, command):
     config_path = tmp_path / "demo.cfg"
@@ -641,15 +627,32 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: G_p: ")
 
-    @pytest.mark.parametrize("alpha_max", ["1e-7", "1e-8", "1e-310"])
+    @pytest.mark.parametrize(
+        "kind, alpha_max, floor",
+        [
+            ("intensity_ladder", "1e-7", "0.035"),
+            ("intensity_ladder", "1e-8", "0.035"),
+            ("intensity_ladder", "1e-9", "0.035"),
+            ("intensity_ladder", "1e-310", "0.035"),
+            # subnormal: the floor times alpha_max would underflow
+            ("intensity_ladder", "1e-320", "0.035"),
+            ("phase_ladder", "1e-9", "0.0011"),
+        ],
+    )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_attacks_on_a_vanishing_probe_is_a_runtime_error(self, tmp_path, capsys, alpha_max):
-        # the probe's overlap exp(-2 a^2) rounds to 1, so the shared state is undefined
+    def test_attacks_on_a_vanishing_probe_is_a_config_error(
+        self, tmp_path, capsys, kind, alpha_max, floor
+    ):
+        # the probe's overlap exp(-2 a^2) rounds to 1, so the shared state is
+        # undefined: the probe is below the embedding's floor
         config_path = tmp_path / "scenario.cfg"
         config_path.write_text(default_config().to_text())
-        assert cli_main(["attacks", str(config_path), "--set", f"alpha_max={alpha_max}"]) == 1
+        argv = ["attacks", str(config_path), "--set", f"kind={kind}",
+                "--set", f"alpha_max={alpha_max}"]
+        assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "too small" in err
+        assert err.startswith("config error: alpha_max: ") and "too small" in err
+        assert f"need alpha_max >= {floor}" in err
 
     @pytest.mark.parametrize(
         "kind, alpha_max, floor",
