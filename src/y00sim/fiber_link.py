@@ -59,17 +59,22 @@ class LinkParams:
     thermal_var: float = 0.0
 
     def __post_init__(self):
-        if self.g_p < 1.0:
+        for name, value in vars(self).items():
+            # a Python int is finite, however large
+            if not (isinstance(value, int) or math.isfinite(value)):
+                raise ParameterError(f"{name} must be finite, got {value}")
+        # each check is written so that NaN fails it
+        if not self.g_p >= 1.0:
             raise ParameterError(f"pre-amplifier gain must be >= 1, got {self.g_p}")
         if not 0.0 < self.kappa_r <= 1.0:
             raise ParameterError(f"span transparency must lie in (0, 1], got {self.kappa_r}")
-        if self.n_repeaters < 0:
+        if not self.n_repeaters >= 0:
             raise ParameterError(f"repeater count must be >= 0, got {self.n_repeaters}")
-        if self.n_mean < 0 or self.n_sp < 1.0:
+        if not (self.n_mean >= 0 and self.n_sp >= 1.0):
             raise ParameterError("photon rate must be >= 0 and n_sp >= 1")
-        if self.bandwidth <= 0 or self.delta_f <= 0:
+        if not (self.bandwidth > 0 and self.delta_f > 0):
             raise ParameterError("bandwidths must be positive")
-        if self.thermal_var < 0:
+        if not self.thermal_var >= 0:
             raise ParameterError(f"thermal variance must be >= 0, got {self.thermal_var}")
 
     @property
@@ -89,11 +94,6 @@ class NoiseBudget:
     sig_sp: float
     sp_sp: float
     total_on: float
-
-    def __post_init__(self):
-        for name in ("th", "sig", "sp", "sig_sp", "sp_sp"):
-            if np.any(getattr(self, name) < 0):
-                raise ParameterError(f"variance term {name} is negative")
 
 
 def noise_budget(params: LinkParams, level_photon_rate) -> NoiseBudget:

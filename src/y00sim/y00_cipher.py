@@ -260,8 +260,8 @@ class KeystreamGenerator:
         return self._buffer[self._pos:self._pos + n_bits]
 
     def take(self, n_bits: int) -> np.ndarray:
-        """Next n_bits of the running key as a uint8 array."""
-        out = self.peek(n_bits).copy()
+        """peek's read-only view of the next n_bits, consumed; a refill leaves it intact."""
+        out = self.peek(n_bits)
         self._pos += n_bits
         return out
 
@@ -364,25 +364,22 @@ def _decode(windows: np.ndarray, n_bits: int, lane) -> np.ndarray:
     little-endian word, so byte k of a w-byte group sits at bit 8k. Times
     sum_k 2^(8w-1-9k) and shifted right by 7w, byte k's bit lands on bit
     w-1-k: every partial product sets a bit of its own, so nothing carries.
-    The groups tile the n bits exactly, so no read passes them. Rows go
-    _DRAW_CHUNK at a time, so a word temporary stays within 8 * _DRAW_CHUNK
-    bytes, even over a tail walk's every offset.
+    The groups tile the n bits exactly, so no read passes them. A batch of
+    _DRAW_CHUNK draws bounds the rows: the 8-byte words peak near 2.8 MB,
+    on the widest tail walk the config reaches (M = 513..1023).
     """
     v = np.empty(len(windows), dtype=lane)
     at = 0
     for w in (8, 4, 2, 1):
         while n_bits - at >= w:
             spread = sum(1 << (8 * w - 1 - 9 * k) for k in range(w))
-            words = windows[:, at:at + w].view(f"<u{w}")[:, 0]
-            for lo in range(0, len(v), _DRAW_CHUNK):
-                group = words[lo:lo + _DRAW_CHUNK] * spread
-                group >>= 7 * w
-                part = v[lo:lo + _DRAW_CHUNK]
-                if at:
-                    part <<= w
-                    part |= group
-                else:
-                    part[...] = group
+            group = windows[:, at:at + w].view(f"<u{w}")[:, 0] * spread
+            group >>= 7 * w
+            if at:
+                v <<= w
+                v |= group
+            else:
+                v[...] = group
             at += w
     return v
 

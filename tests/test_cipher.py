@@ -226,6 +226,29 @@ class TestBufferedKeystream:
             assert np.array_equal(joined, peeked)
             assert np.array_equal(split.take(100), whole.take(100))
 
+    def test_take_returns_a_read_only_view(self):
+        gen = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"))
+        bits = gen.take(100)
+        assert not bits.flags.writeable and not bits.flags.owndata
+        with pytest.raises(ValueError):
+            bits[0] ^= 1
+
+    @pytest.mark.parametrize("kind", ["lfsr", "counter_hash"])
+    def test_taken_views_keep_their_bits_across_refills(self, kind):
+        # after each take, a peek one bit past the buffered bits refills; the
+        # old buffer must be replaced, not written, so earlier views keep their bits
+        gen = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"), kind=kind)
+        whole = KeystreamGenerator(SeedKey.from_hex("ACE1F00D"), kind=kind).take(1 << 20)
+        views, pos = [], 0
+        for n in (4000, 90, (1 << 18) - 7, 5, 300_001):
+            views.append((pos, gen.take(n)))
+            pos += n
+            buffer = gen._buffer
+            gen.peek(buffer.size - gen._pos + 1)
+            assert gen._buffer is not buffer
+            for start, view in views:
+                assert np.array_equal(view, whole[start:start + view.size])
+
     def test_counter_hash_matches_digests_across_refills(self):
         gen = KeystreamGenerator(SeedKey.from_hex("1234ABCD"), kind="counter_hash")
         sizes = (1, 255, 4096, 3, 5000, 9000)
@@ -310,7 +333,6 @@ class TestBufferedKeystream:
     @pytest.mark.parametrize("n_bits", [*range(1, 18), 31, 32, 33, 63, 64])
     def test_decode_matches_the_bit_loop(self, n_bits):
         lane = np.min_scalar_type((1 << n_bits) - 1)
-        # past _DRAW_CHUNK rows, so the decode runs in more than one slice
         bits = np.random.default_rng(n_bits).integers(0, 2, 2 * _DRAW_CHUNK + 77, dtype=np.uint8)
         bits.flags.writeable = False
 

@@ -50,6 +50,14 @@ def random_params(rng):
     )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["g_p", "kappa_r", "n_repeaters", "n_mean", "n_sp",
+                                   "bandwidth", "delta_f", "thermal_var"])
+def test_link_params_reject_a_non_finite_field(field, value):
+    with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+        LinkParams(**{field: value})
+
+
 class TestNoiseBudget:
     def test_no_amplifiers_leaves_thermal_plus_shot(self):
         params = LinkParams(g_p=1.0, kappa_r=0.4, n_repeaters=0, thermal_var=1e-14)

@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 
 from y00sim.errors import ParameterError
-from y00sim.overlap_coding import (
-    HIGH,
-    LOW,
-    analytic_block_error,
-    decode_block,
-    encode_block,
-    pattern_array,
-)
+from y00sim.overlap_coding import HIGH, LOW, analytic_block_error, pattern_array
 
 
 def brute_force_decode(received, code_id, polarity):
-    """Minimum-distance decoding over the two candidate patterns."""
+    """Minimum-distance decoding over the block's two candidate patterns;
+    polarity 1 sends the complemented bit's pattern."""
+    patterns = pattern_array()
     best_bit, best_distance = None, 4
     for bit in (0, 1):
-        pattern = encode_block(bit, code_id, polarity)
-        distance = sum(r != p for r, p in zip(received, pattern))
+        pattern = patterns[code_id, bit ^ polarity]
+        distance = sum(int(r) != int(p) for r, p in zip(received, pattern))
         if distance < best_distance:
             best_bit, best_distance = bit, distance
     return best_bit
@@ -36,51 +31,11 @@ class TestCodewordTable:
         for bit0, bit1 in pattern_array():
             assert np.count_nonzero(bit0 != bit1) == 3
 
-    def test_pattern_array_matches_table(self):
-        arr = pattern_array()
-        for bit, code_id in product((0, 1), (0, 1, 2)):
-            assert tuple(arr[code_id, bit]) == encode_block(bit, code_id, 0)
-
-
-class TestEncodeDecode:
-    def test_encode_examples(self):
-        assert encode_block(0, 0, 0) == (LOW, LOW, HIGH)
-        assert encode_block(0, 0, 1) == (HIGH, HIGH, LOW)  # polarity swaps the bit roles
-        assert encode_block(1, 0, 0) == (HIGH, HIGH, LOW)
-
-    def test_round_trip_all_codes(self):
-        for bit, code_id, polarity in product((0, 1), (0, 1, 2), (0, 1)):
-            pattern = encode_block(bit, code_id, polarity)
-            assert decode_block(pattern, code_id, polarity) == bit
-
-    def test_single_flip_corrected(self):
-        for code_id, polarity in product((0, 1, 2), (0, 1)):
-            pattern = list(encode_block(0, code_id, polarity))
-            for position in range(3):
-                corrupted = pattern.copy()
-                corrupted[position] ^= 1
-                assert decode_block(tuple(corrupted), code_id, polarity) == 0
-
-    def test_double_flip_decodes_wrong(self):
-        pattern = list(encode_block(0, 0, 0))
-        pattern[0] ^= 1
-        pattern[1] ^= 1
-        assert decode_block(tuple(pattern), 0, 0) == 1
-
-    def test_exhaustive_against_brute_force(self):
-        for received in product((0, 1), repeat=3):
-            for code_id, polarity in product((0, 1, 2), (0, 1)):
-                assert decode_block(received, code_id, polarity) == brute_force_decode(
-                    received, code_id, polarity
-                )
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ParameterError):
-            encode_block(2, 0, 0)
-        with pytest.raises(ParameterError):
-            decode_block((0, 1), 0, 0)
-        with pytest.raises(ParameterError):
-            decode_block((0, 1, 2), 0, 0)
+    def test_each_code_puts_bit_zero_high_on_its_own_symbol(self):
+        # the key picks which of the 3 symbols carries bit 0's lone high level
+        bit0 = pattern_array()[:, 0]
+        assert bit0.sum(axis=1).tolist() == [1, 1, 1]
+        assert sorted(np.argmax(bit0, axis=1).tolist()) == [0, 1, 2]
 
 
 class TestAnalyticBlockError:
@@ -118,19 +73,15 @@ class TestAnalyticBlockError:
 
 class TestFullStackMonteCarlo:
     def test_kernel_agrees_with_reference_decoder_exhaustively(self):
-        # the fast path must equal encode/decode on every (pattern, code,
-        # polarity, bit) combination before we trust it for bulk runs
+        # kernels.coded_errors counts a block as failed when at least 2 of its
+        # 3 symbols are wrong; minimum-distance decoding must fail on exactly
+        # those blocks, for every (received, code, polarity, bit)
         patterns = pattern_array()
-        for bits_tuple in product((0, 1), repeat=3):
-            hard = np.array([bits_tuple], dtype=np.uint8)
+        for received in product((0, 1), repeat=3):
             for code_id, polarity, bit in product((0, 1, 2), (0, 1), (0, 1)):
-                matches_one = int((hard[0] == patterns[code_id, 1]).sum())
-                kernel_decoded = (1 if matches_one >= 2 else 0) ^ polarity
-                decoded = decode_block(bits_tuple, code_id, polarity)
-                assert kernel_decoded == decoded
-                # the symbol-error rule of the one-cut kernel: a block is in
-                # error when at least 2 of its symbols differ from those sent
-                symbol_errors = int((hard[0] != patterns[code_id, bit ^ polarity]).sum())
+                sent = patterns[code_id, bit ^ polarity]
+                symbol_errors = sum(int(r) != int(s) for r, s in zip(received, sent))
+                decoded = brute_force_decode(received, code_id, polarity)
                 assert (symbol_errors >= 2) == (decoded != bit)
 
     @pytest.mark.parametrize("p", [0.001, 0.01, 0.1])
@@ -150,21 +101,3 @@ class TestFullStackMonteCarlo:
         expected = analytic_block_error(p)
         stderr = np.sqrt(expected * (1 - expected) / blocks)
         assert abs(error_rate - expected) < 3 * stderr
-
-    def test_python_stack_subset(self):
-        # slow-path sanity: push a few thousand blocks through the public
-        # encode/decode functions directly
-        rng = np.random.default_rng(11)
-        p = 0.05
-        blocks = 4000
-        errors = 0
-        for _ in range(blocks):
-            bit = int(rng.integers(0, 2))
-            code_id = int(rng.integers(0, 3))
-            polarity = int(rng.integers(0, 2))
-            sent = encode_block(bit, code_id, polarity)
-            received = tuple(s ^ int(f) for s, f in zip(sent, rng.random(3) < p))
-            errors += decode_block(received, code_id, polarity) != bit
-        expected = analytic_block_error(p)
-        stderr = np.sqrt(expected * (1 - expected) / blocks)
-        assert abs(errors / blocks - expected) < 4 * stderr

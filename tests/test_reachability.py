@@ -44,8 +44,6 @@ KEPT = {
     "scenario.ScenarioConfig.link_params": "acceptance criterion 9",
     "y00_cipher.ConstellationSpec.basis_pair": "acceptance criterion 9",
     "kernels.backend_name": "the benchmark harness reports it",
-    "overlap_coding.encode_block": "the reference pattern_array is tested against",
-    "overlap_coding.decode_block": "the reference pattern_array is tested against",
     "y00_cipher.bob_decode": "Bob's keyed decision in the documented session",
     "y00_cipher.key_expansion_session": "the documented key-expansion session",
     "y00_cipher.SessionResult.mismatch_count": "the documented key-expansion session",

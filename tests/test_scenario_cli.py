@@ -628,45 +628,44 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: G_p: ")
 
     @pytest.mark.parametrize(
-        "kind, alpha_max, floor",
+        "kind, alpha_max",
         [
-            ("intensity_ladder", "1e-7", "0.035"),
-            ("intensity_ladder", "1e-8", "0.035"),
-            ("intensity_ladder", "1e-9", "0.035"),
-            ("intensity_ladder", "1e-310", "0.035"),
-            # subnormal: the floor times alpha_max would underflow
-            ("intensity_ladder", "1e-320", "0.035"),
-            ("phase_ladder", "1e-9", "0.0011"),
+            ("intensity_ladder", "1e-7"),
+            ("intensity_ladder", "1e-8"),
+            ("intensity_ladder", "1e-9"),
+            ("intensity_ladder", "1e-310"),
+            ("intensity_ladder", "1e-320"),  # subnormal
+            ("phase_ladder", "1e-9"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_attacks_on_a_vanishing_probe_is_a_config_error(
-        self, tmp_path, capsys, kind, alpha_max, floor
+        self, tmp_path, capsys, kind, alpha_max
     ):
         # the probe's overlap exp(-2 a^2) rounds to 1, so the shared state is
-        # undefined: the probe is below the embedding's floor
+        # undefined: the probe is too small for the embedding
         config_path = tmp_path / "scenario.cfg"
         config_path.write_text(default_config().to_text())
         argv = ["attacks", str(config_path), "--set", f"kind={kind}",
                 "--set", f"alpha_max={alpha_max}"]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: alpha_max: ") and "too small" in err
-        assert f"need alpha_max >= {floor}" in err
+        assert err.startswith("config error: alpha_max: the entanglement probe alpha=")
+        assert "too small for the 4x4 embedding" in err and "rounds to 1" in err
 
     @pytest.mark.parametrize(
-        "kind, alpha_max, floor",
+        "kind, alpha_max, probe",
         [
             # the intensity ladder probes its lowest level, alpha_max / 32 at M=16
-            ("intensity_ladder", "1e-2", "0.035"),
-            ("intensity_ladder", "2.5e-2", "0.035"),
-            ("phase_ladder", "1e-4", "0.0011"),
-            ("phase_ladder", "1e-7", "0.0011"),
+            ("intensity_ladder", "1e-2", "0.0003125"),
+            ("intensity_ladder", "2.5e-2", "0.00078125"),
+            ("phase_ladder", "1e-4", "0.0001"),
+            ("phase_ladder", "1e-7", "1e-07"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_attacks_below_the_embedding_floor_is_a_config_error(
-        self, tmp_path, capsys, kind, alpha_max, floor
+        self, tmp_path, capsys, kind, alpha_max, probe
     ):
         config_path = tmp_path / "scenario.cfg"
         config_path.write_text(default_config().to_text())
@@ -674,8 +673,8 @@ class TestCli:
                 "--set", f"alpha_max={alpha_max}"]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: alpha_max: ")
-        assert "floor of about 0.0011" in err and f"need alpha_max >= {floor}" in err
+        assert err.startswith(f"config error: alpha_max: the entanglement probe alpha={probe} ")
+        assert "too small for the 4x4 embedding (density matrix must" in err
         # run has no entanglement probe, so the same value still runs
         assert cli_main(["run", str(config_path), "--set", f"alpha_max={alpha_max}",
                          "--set", "trials=1000", "--out", str(tmp_path / "r.txt")]) == 0
