@@ -197,8 +197,6 @@ def quasi_bell_reduced_eigenvalues(kappa_a: float, kappa_b: float) -> tuple[floa
         if not 0.0 <= k < 1.0:
             raise ParameterError(f"{name} must lie in [0, 1), got {k}")
     denom = 2.0 * (1.0 - kappa_a * kappa_b)
-    if denom == 0.0:
-        raise ParameterError("kappa_a * kappa_b = 1 makes the state singular")
     lam1 = (1.0 + kappa_a) * (1.0 - kappa_b) / denom
     lam2 = (1.0 - kappa_a) * (1.0 + kappa_b) / denom
     return lam1, lam2

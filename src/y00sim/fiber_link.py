@@ -98,26 +98,27 @@ class NoiseBudget:
 
 def noise_budget(params: LinkParams, level_photon_rate) -> NoiseBudget:
     """Evaluate all variance terms at a photon rate, or at each of an
-    array of rates."""
+    array of rates. Raises ParameterError, naming the cause, when a term
+    overflows or is not finite in double precision."""
     if np.any(level_photon_rate < 0):
         raise ParameterError(f"photon rate must be >= 0, got {level_photon_rate}")
     e2 = ELECTRON_CHARGE * ELECTRON_CHARGE
-    gain = params.repeater_gain
-    bracket = params.kappa_r * params.g_p * params.n_repeaters * (gain - 1.0) + (params.g_p - 1.0)
-    sig = 2.0 * e2 * params.g_p * params.kappa_r * level_photon_rate * params.bandwidth
-    sp = 2.0 * e2 * bracket * params.n_sp * params.bandwidth * params.delta_f
-    sig_sp = (
-        4.0
-        * e2
-        * params.g_p
-        * bracket
-        * params.kappa_r
-        * level_photon_rate
-        * params.n_sp
-        * params.bandwidth
-    )
-    sp_sp = 2.0 * e2 * bracket**2 * params.n_sp**2 * params.bandwidth * params.delta_f
-    total = params.thermal_var + sig + 2.0 * sp + sig_sp + 2.0 * sp_sp
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            bracket = (params.kappa_r * params.g_p * params.n_repeaters
+                       * (params.repeater_gain - 1.0) + (params.g_p - 1.0))
+            sig = 2.0 * e2 * params.g_p * params.kappa_r * level_photon_rate * params.bandwidth
+            sp = 2.0 * e2 * bracket * params.n_sp * params.bandwidth * params.delta_f
+            sig_sp = (4.0 * e2 * params.g_p * bracket * params.kappa_r * level_photon_rate
+                      * params.n_sp * params.bandwidth)
+            sp_sp = 2.0 * e2 * bracket**2 * params.n_sp**2 * params.bandwidth * params.delta_f
+            total = params.thermal_var + sig + 2.0 * sp + sig_sp + 2.0 * sp_sp
+    except ArithmeticError as exc:
+        # an OverflowError from a float ** carries (errno, message)
+        raise ParameterError(exc.args[-1]) from exc
+    # every term is >= 0, so the total is finite exactly when each term is
+    if not np.isfinite(total).all():
+        raise ParameterError("a noise term is not finite")
     return NoiseBudget(
         th=params.thermal_var, sig=sig, sp=sp, sig_sp=sig_sp, sp_sp=sp_sp, total_on=total
     )
@@ -136,19 +137,27 @@ def decision_point(params: LinkParams, rate_on, rate_off):
     Returns (threshold, i_on, i_off, sigma_on, sigma_off). With unequal
     variances the threshold sits at i_off + sigma_off (i_on - i_off) /
     (sigma_on + sigma_off), which makes P(0|1) = P(1|0); a noise-free link
-    decides at the midpoint.
+    decides at the midpoint. Raises ParameterError when a value is not
+    finite in double precision, or a noise-free pair's threshold does not
+    split its currents (they rounded together).
     """
     rates = np.array(np.broadcast_arrays(rate_on, rate_off), dtype=float)
+    if not (np.isfinite(rates).all() and (rates >= 0).all()):
+        raise ParameterError("rates must be finite and nonnegative")
     if np.any(rates[0] <= rates[1]):
         raise ParameterError("rate_on must exceed rate_off")
-    if np.any(rates[1] < 0):
-        raise ParameterError("rates must be nonnegative")
-    i_on, i_off = mean_photocurrent(params, rates)
-    sigma_on, sigma_off = np.sqrt(noise_budget(params, rates).total_on)
-    denom = sigma_on + sigma_off
-    noisy = denom != 0.0
-    equal_error = i_off + sigma_off * (i_on - i_off) / np.where(noisy, denom, 1.0)
-    threshold = np.where(noisy, equal_error, (i_on + i_off) / 2.0)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            i_on, i_off = mean_photocurrent(params, rates)
+            sigma_on, sigma_off = np.sqrt(noise_budget(params, rates).total_on)
+            denom = sigma_on + sigma_off
+            noisy = denom != 0.0
+            equal_error = i_off + sigma_off * (i_on - i_off) / np.where(noisy, denom, 1.0)
+            threshold = np.where(noisy, equal_error, (i_on + i_off) / 2.0)
+    except ArithmeticError as exc:
+        raise ParameterError(str(exc)) from exc
+    if not (noisy | ((i_off <= threshold) & (threshold < i_on))).all():
+        raise ParameterError("a noise-free pair's threshold does not split its currents")
     return threshold[()], i_on[()], i_off[()], sigma_on[()], sigma_off[()]
 
 
@@ -165,10 +174,14 @@ def gaussian_ber(i_on, i_off, sigma_on, sigma_off):
     """The decision error at ``decision_point``'s threshold, from its
     currents and sigmas: Gaussian model with Q = (i_on - i_off) /
     (sigma_on + sigma_off), giving P(0|1) = P(1|0) = Phi(-Q). A noise-free
-    link gives 0."""
+    link gives 0. Raises ParameterError when Q overflows."""
     denom = sigma_on + sigma_off
     noisy = denom != 0.0
-    q = (i_on - i_off) / np.where(noisy, denom, 1.0)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            q = (i_on - i_off) / np.where(noisy, denom, 1.0)
+    except ArithmeticError as exc:
+        raise ParameterError(str(exc)) from exc
     return np.where(noisy, 0.5 * _erfc(q / math.sqrt(2.0)), 0.0)[()]
 
 

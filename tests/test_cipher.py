@@ -23,6 +23,7 @@ from y00sim.y00_cipher import (
     eve_bit_mixtures,
     is_maximal_lfsr,
     key_expansion_session,
+    lfsr_polynomial,
 )
 
 from conftest import lfsr_reference, per_draw_values
@@ -554,3 +555,36 @@ def test_simulated_srm_eve_is_blind_under_osk(rng):
     guesses = (srm_outcomes(cdf, level_idx, rng.random(n)) >= m).astype(np.uint8)
     error = np.count_nonzero(guesses != bits) / n
     assert abs(error - 0.5) < 3 * np.sqrt(0.25 / n)
+
+
+SEED = SeedKey.from_hex("ACE1F00D")
+SPEC = ConstellationSpec.intensity_ladder(2, 4.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: SeedKey((0,) * 7 + (2,)), ParameterError, "seed bits must be 0 or 1"),
+        (lambda: SeedKey.from_hex("0x"), ParameterError, "empty seed key"),
+        (lambda: SeedKey.from_int(256, 8), ParameterError, "does not fit in 8 bits"),
+        (lambda: lfsr_polynomial(8, 0x100), ParameterError, "does not fit width 8"),
+        (lambda: KeystreamGenerator(SEED, kind="x"), ParameterError, "unknown keystream kind"),
+        (lambda: KeystreamGenerator(SEED).peek(-1), ParameterError, "negative number of bits"),
+        (lambda: BasisAssignment("x"), ParameterError, "unknown assignment mode"),
+        (lambda: ConstellationSpec("x", 2, 4.0, SPEC.levels), ParameterError,
+         "unknown constellation kind"),
+        (lambda: ConstellationSpec("intensity_ladder", 0, 4.0, ()), ParameterError,
+         "at least one basis"),
+        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, SPEC.levels[:3]), ParameterError,
+         "exactly 2M levels"),
+        (lambda: SPEC.basis_pair(2), ParameterError, "basis index 2 out of range"),
+        (lambda: draw_uniform(KeystreamGenerator(SEED), 0, 1), ParameterError, "bound >= 1"),
+        (lambda: key_expansion_session(SEED, 0, np.random.default_rng(0)), ParameterError,
+         "at least one round"),
+        (lambda: key_expansion_session(SEED, 1, np.random.default_rng(0), channel_ber=2.0),
+         ParameterError, "channel_ber must lie in"),
+    ],
+)
+def test_argument_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

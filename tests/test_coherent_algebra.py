@@ -380,3 +380,24 @@ class TestPhaseConstellation:
         ens = ConstellationSpec.phase_ladder(3, 2.0).ensemble()
         reference = MultiModeState((2.0 / math.sqrt(2), 2.0 / math.sqrt(2)))
         assert abs(inner_product(ens.states[0], reference)) == pytest.approx(1.0, abs=1e-12)
+
+
+ONE, TWO = MultiModeState.single(1.0), MultiModeState((1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: MultiModeState((math.nan,)), ParameterError, "mode amplitude must be finite"),
+        (lambda: MultiModeState(()), ParameterError, "at least one mode"),
+        (lambda: StateEnsemble((), []), ParameterError, "at least one state"),
+        (lambda: StateEnsemble((ONE, TWO), [0.5, 0.5]), DimensionError, "same mode count"),
+        (lambda: StateEnsemble((ONE, ONE), [1.0]), ParameterError, "one prior per state"),
+        (lambda: StateEnsemble((ONE, ONE), [-0.5, 1.5]), ParameterError, "nonnegative"),
+        (lambda: StateEnsemble((ONE, ONE), [0.5, 0.6]), ParameterError, "sum to 1"),
+        (lambda: lossy_shared_state(0.0, 1.0), ParameterError, "alpha must be positive"),
+    ],
+)
+def test_argument_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -283,3 +283,16 @@ class TestGuessBaseline:
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
             guess_baseline(0)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: DiscriminationProblem(
+            StateEnsemble.uniform([MultiModeState.single(1.0)]), (0,), ()),
+         ParameterError, "both hypotheses need at least one state"),
+    ],
+)
+def test_argument_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

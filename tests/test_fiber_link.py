@@ -228,3 +228,55 @@ class TestPracticalVsOptimal:
         assert optimal == pytest.approx(
             helstrom_pure_pair(math.exp(-(separation**2)), 0.5), rel=1e-12
         )
+
+
+# links that build but whose budget double precision cannot hold: a
+# subnormal kappa_r makes the gain 1/kappa_r infinite and, with no
+# repeaters, the bracket 0 * inf; the other two overflow a float **
+UNEVALUABLE_LINKS = [
+    LinkParams(kappa_r=5e-324, n_repeaters=0),
+    LinkParams(kappa_r=1e-300, g_p=1e300, n_repeaters=10**6),
+    LinkParams(n_sp=1e200),
+]
+LINK_CALLS = {
+    "noise_budget": lambda params, on, off: noise_budget(params, on),
+    "decision_point": decision_point,
+    "ber_on_off": ber_on_off,
+    "bob_practical_vs_optimal": lambda params, on, off: bob_practical_vs_optimal(
+        params, ConstellationSpec.intensity_ladder(4, 8.0)
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", list(LINK_CALLS))
+@pytest.mark.parametrize("params", UNEVALUABLE_LINKS, ids=["subnormal_kappa_r", "huge_bracket",
+                                                           "huge_n_sp"])
+def test_a_budget_out_of_double_precision_raises(params, call):
+    with pytest.raises(ParameterError) as info:
+        LINK_CALLS[call](params, 4e9, 1e9)
+    # the cause alone, not an OverflowError's (errno, message)
+    assert not str(info.value).startswith("(")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", ["noise_budget", "decision_point", "ber_on_off"])
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_a_rate_that_is_not_finite_raises(call, rate):
+    with pytest.raises(ParameterError, match="finite"):
+        LINK_CALLS[call](LinkParams(), rate, 1e9)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: LinkParams(n_repeaters=-1), ParameterError, "repeater count must be >= 0"),
+        (lambda: decision_point(LinkParams(), 1.0, -1.0), ParameterError, "nonnegative"),
+        # noise-free (shot noise underflows to 0) with both currents rounding to 0
+        (lambda: decision_point(LinkParams(), 1.5e-305, 1e-305), ParameterError,
+         "does not split its currents"),
+    ],
+)
+def test_argument_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

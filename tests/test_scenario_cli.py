@@ -534,6 +534,10 @@ class TestCli:
             # a float ** in the noise budget overflows, as G_p=1e200 does
             (["n_sp=1e200"], "n_sp"),
             ([f"N={'9' * 200}"], "N"),
+            # the gain 1/kappa_r is inf, and with no repeaters the bracket 0 * inf
+            (["kappa_r=5e-324", "N=0"], "kappa_r"),
+            # a polynomial wider than the 32-bit seed key
+            (["lfsr_poly=1FFFFFFFF"], "lfsr_poly"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
