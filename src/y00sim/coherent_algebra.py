@@ -4,9 +4,10 @@ Everything here works in the finite-dimensional span of the participating
 kets rather than a truncated number basis: overlaps of coherent states have
 a closed form, so a Gram matrix plus its Hermitian square root give exact
 (machine-precision) embeddings for mixed-state computations at any photon
-number. Also provides the reduced spectrum of an entangled +/-alpha pair
-and the surviving entangled fraction of a shared pair after one arm
-passes a lossy link.
+number. A Gram that is real symmetric Toeplitz, as both ladders' are, also
+takes its root from two half-size problems. Also provides the reduced
+spectrum of an entangled +/-alpha pair and the surviving entangled
+fraction of a shared pair after one arm passes a lossy link.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ from .errors import DimensionError, IllConditionedEnsembleError, ParameterError
 
 # Eigenvalues of a Gram matrix this far below zero are not rounding noise.
 _GRAM_NEG_TOL = 1e-8
-
-# Real matrices with more rows than this are factored in real arithmetic.
-# The bound only keeps pinned bytes: the largest pinned ladder Gram has 128
-# rows, and its real factor differs in the last digits. It goes when those
-# pins are next re-pinned, and every real matrix then takes the real solver.
-_COMPLEX_SOLVER_MAX_ROWS = 128
 
 
 def _require_finite(value: complex, name: str) -> complex:
@@ -132,17 +127,11 @@ def _eigen_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(U, sqrt(w)) for the eigendecomposition U diag(w) U^dagger of a
     positive-semidefinite matrix, whose root is then U diag(sqrt(w)) U^dagger.
 
-    A matrix whose imaginary parts are all zero and that has more than
-    _COMPLEX_SOLVER_MAX_ROWS rows, such as a large intensity-ladder Gram, is
-    factored by the real symmetric solver on its real part, with about 4x
-    less arithmetic, and U is then real; every other matrix keeps the
-    complex Hermitian solver. Eigenvalues in [-1e-8, 0) and positive values
-    below the relative rounding floor (max eigenvalue * n * eps) are treated
-    as exact zeros; anything more negative raises, since a Gram matrix that
-    far from PSD signals a numerically broken ensemble rather than rounding.
+    Eigenvalues in [-1e-8, 0) and positive values below the relative
+    rounding floor (max eigenvalue * n * eps) are treated as exact zeros;
+    anything more negative raises, since a Gram matrix that far from PSD
+    signals a numerically broken ensemble rather than rounding.
     """
-    if len(matrix) > _COMPLEX_SOLVER_MAX_ROWS and not matrix.imag.any():
-        matrix = matrix.real
     w, u = np.linalg.eigh(matrix)
     del matrix  # a temporary Gram matrix passed straight in is freed here
     if w.min() < -_GRAM_NEG_TOL:
@@ -155,8 +144,7 @@ def _eigen_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def psd_matrix_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix, with
-    _eigen_factor's choice of solver and its treatment of negative and
-    rounding-level eigenvalues: the root is real when the real solver ran."""
+    _eigen_factor's treatment of negative and rounding-level eigenvalues."""
     u, root_w = _eigen_factor(matrix)
     # a caller's temporary goes before the scaled copy of u is made, so at
     # most three n x n arrays are live at once
@@ -181,6 +169,47 @@ def embedding_diagonal(ensemble: StateEnsemble) -> np.ndarray:
     one row dot per state, so only the scaled copy of U is live beside U."""
     u, root_w = _eigen_factor(gram_matrix(ensemble))
     return np.vecdot(u, u * root_w)
+
+
+def _toeplitz_half_factors(overlaps: np.ndarray) -> tuple[tuple, tuple]:
+    """_eigen_factor of the even and the odd M x M half of the real
+    symmetric Toeplitz Gram G_ij = g(|i - j|), i, j < 2M, of g = ``overlaps``.
+
+    Such a G is centrosymmetric, JGJ = G with J the reversal, so the
+    orthogonal Q = [[I, I], [J, -J]] / sqrt(2) turns it into diag(G_e, G_o)
+    with G_e = G11 + G12 J and G_o = G11 - G12 J (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976), where G11[i, j] = g(|i - j|) and (G12 J)[i, j]
+    = g(2M - 1 - i - j). Each half gets its own negative-eigenvalue check
+    and rounding floor.
+    """
+    m = len(overlaps) // 2
+    i = np.arange(m)
+    g11 = overlaps[abs(i[:, None] - i)]
+    g12_j = overlaps[2 * m - 1 - i[:, None] - i]
+    return _eigen_factor(g11 + g12_j), _eigen_factor(g11 - g12_j)
+
+
+def toeplitz_embedding(overlaps: np.ndarray) -> np.ndarray:
+    """The real root S of the Toeplitz Gram g[|i - j|] (2M rows), built from
+    the roots S_e and S_o of its halves (_toeplitz_half_factors) as
+    Q diag(S_e, S_o) Q^T = [[A, B J], [J B, J A J]], with A = (S_e + S_o)/2
+    and B = (S_e - S_o)/2. It solves two M x M problems, not one 2M x 2M."""
+    (u_e, root_e), (u_o, root_o) = _toeplitz_half_factors(overlaps)
+    s_e = (u_e * root_e) @ u_e.T
+    s_o = (u_o * root_o) @ u_o.T
+    a = (s_e + s_o) / 2
+    b = (s_e - s_o) / 2
+    return np.block([[a, b[:, ::-1]], [b[::-1], a[::-1, ::-1]]])
+
+
+def toeplitz_embedding_diagonal(overlaps: np.ndarray) -> np.ndarray:
+    """The diagonal of toeplitz_embedding(overlaps) without the M x M
+    products: S_ii = (S_e,ii + S_o,ii) / 2 for i < M, each half's diagonal
+    read off its eigenvectors as in embedding_diagonal, and the upper half
+    is the lower one reversed."""
+    even, odd = (np.vecdot(u, u * root_w) for u, root_w in _toeplitz_half_factors(overlaps))
+    lower = (even + odd) / 2
+    return np.concatenate([lower, lower[::-1]])
 
 
 def quasi_bell_reduced_eigenvalues(kappa_a: float, kappa_b: float) -> tuple[float, float]:

@@ -126,8 +126,16 @@ def noise_budget(params: LinkParams, level_photon_rate) -> NoiseBudget:
 
 def mean_photocurrent(params: LinkParams, photon_rate):
     """Mean detected current e G_p kappa_r <n> (responsivity folded in), per
-    rate when given an array."""
-    return ELECTRON_CHARGE * params.g_p * params.kappa_r * photon_rate
+    rate when given an array. Raises ParameterError when a rate is not
+    finite or a current overflows double precision."""
+    rate = np.asarray(photon_rate, dtype=float)
+    if not np.isfinite(rate).all():
+        raise ParameterError(f"photon rate must be finite, got {photon_rate}")
+    with np.errstate(over="ignore"):
+        current = ELECTRON_CHARGE * params.g_p * params.kappa_r * rate
+    if not np.isfinite(current).all():
+        raise ParameterError("the mean photocurrent overflows double precision")
+    return current[()]
 
 
 def decision_point(params: LinkParams, rate_on, rate_off):
@@ -174,11 +182,17 @@ def gaussian_ber(i_on, i_off, sigma_on, sigma_off):
     """The decision error at ``decision_point``'s threshold, from its
     currents and sigmas: Gaussian model with Q = (i_on - i_off) /
     (sigma_on + sigma_off), giving P(0|1) = P(1|0) = Phi(-Q). A noise-free
-    link gives 0. Raises ParameterError when Q overflows."""
-    denom = sigma_on + sigma_off
-    noisy = denom != 0.0
+    link gives 0. Raises ParameterError when an input is not finite, a
+    sigma is negative or Q overflows."""
+    i_on, i_off, sigma_on, sigma_off = np.broadcast_arrays(i_on, i_off, sigma_on, sigma_off)
+    if not all(np.isfinite(v).all() for v in (i_on, i_off, sigma_on, sigma_off)):
+        raise ParameterError("currents and sigmas must be finite")
+    if (sigma_on < 0).any() or (sigma_off < 0).any():
+        raise ParameterError("sigmas must be >= 0")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            denom = sigma_on + sigma_off
+            noisy = denom != 0.0
             q = (i_on - i_off) / np.where(noisy, denom, 1.0)
     except ArithmeticError as exc:
         raise ParameterError(str(exc)) from exc

@@ -25,6 +25,8 @@ from .coherent_algebra import (
     entangled_fraction,
     lossy_shared_state,
     orthonormal_embedding,
+    toeplitz_embedding,
+    toeplitz_embedding_diagonal,
 )
 from .detection import (
     guess_baseline,
@@ -50,6 +52,13 @@ from .y00_cipher import (
 CHUNK_SIZE = 16384
 
 _ETA_SWEEP = (1.0, 0.8, 0.6, 0.4, 0.2, 0.1, 0.01, 0.001, 0.0001)
+
+# Ladders with at most this many levels take their Gram root from the
+# 2M-state ensemble, larger ones from the two halves of the Toeplitz
+# overlap sequence. The bound only keeps pinned bytes: the largest pinned
+# ladder has 128 levels, and the split's root differs from the ensemble's
+# in the last digits. It goes when those pins are next re-pinned.
+_PINNED_LADDER_MAX_ROWS = 128
 
 
 def _fmt(value: float) -> str:
@@ -113,10 +122,9 @@ class ScenarioConfig:
 
     kind: str = _field("kind", _STR, "intensity_ladder",
                        choices=("intensity_ladder", "phase_ladder"))
-    # Every command builds and factors 2M x 2M Gram matrices, so time grows
-    # as M^3 and memory as M^2. An intensity ladder's Gram is real, and above
-    # 128 rows (M > 64) it takes the real symmetric solver, with about 4x less
-    # arithmetic than the complex one a phase ladder's Gram needs at every M.
+    # Every command factors the ladder's Gram, so time grows as M^3 and
+    # memory as M^2. Up to 128 levels (M <= 64) it factors the complex 2M x 2M
+    # Gram; above, two real M x M halves, with about 16x less arithmetic.
     # The README gives the M=1024 figures.
     m_bases: int = _field("M", _INT, 16, bound=(">=", 1, 1024))
     alpha_max: float = _field("alpha_max", _FLOAT, 100.0, bound=(">", 0))
@@ -424,7 +432,10 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
     mean_i, sigma_i, thresholds, basis_ber = config._link[0]
 
     # the levels are the distinct kets of either assignment's bit mixtures
-    root = orthonormal_embedding(spec.ensemble())
+    if len(spec.levels) <= _PINNED_LADDER_MAX_ROWS:
+        root = orthonormal_embedding(spec.ensemble())
+    else:
+        root = toeplitz_embedding(spec.overlaps())
     eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment), root)
     _, eve_state_error = srm_diagonal(np.diag(root))
     eve_cut = _eve_cuts(root, m)
@@ -606,7 +617,11 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
 
     worst_prior, worst_error = minimax_pair(*spec.levels[:2])
     # the error needs only the root's diagonal, not the root or the outcome distribution
-    _, srm_state_error = srm_diagonal(embedding_diagonal(spec.ensemble()))
+    if len(spec.levels) <= _PINNED_LADDER_MAX_ROWS:
+        diagonal = embedding_diagonal(spec.ensemble())
+    else:
+        diagonal = toeplitz_embedding_diagonal(spec.overlaps())
+    _, srm_state_error = srm_diagonal(diagonal)
     return AttackReport(
         worst_pair_prior=worst_prior,
         worst_pair_error=worst_error,

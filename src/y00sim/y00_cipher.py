@@ -346,6 +346,18 @@ class ConstellationSpec:
             raise ParameterError("level amplitudes are only defined for the intensity ladder")
         return np.array([lvl.modes[0].real for lvl in self.levels])
 
+    def overlaps(self) -> np.ndarray:
+        """g(0 .. 2M-1), the real overlap of two levels of the exact ladder a
+        distance d = |i - j| apart, so the ladder's Gram is g[|i - j|]:
+        exp(-(d alpha_max / 2M)^2 / 2) on the intensity ladder and
+        exp(-2 alpha^2 sin^2(pi d / 4M)) on the phase ladder, whose sin^2
+        keeps the digits that exp(alpha^2 (cos(pi d / 2M) - 1)) cancels."""
+        two_m = 2 * self.m_bases
+        d = np.arange(two_m)
+        if self.kind == "intensity_ladder":
+            return np.exp(-((d * self.alpha_max / two_m) ** 2) / 2)
+        return np.exp(-2.0 * self.alpha_max**2 * np.sin(np.pi * d / (2 * two_m)) ** 2)
+
     def basis_pair(self, basis_index: int) -> tuple[MultiModeState, MultiModeState]:
         """(low, high) states of basis ``basis_index`` in 0..M-1."""
         if not 0 <= basis_index < self.m_bases:

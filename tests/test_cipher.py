@@ -1,10 +1,12 @@
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
 from scipy import stats
 
+from y00sim.coherent_algebra import gram_matrix
 from y00sim.errors import ParameterError, SeedError
 from y00sim.kernels import level_index
 from y00sim.y00_cipher import (
@@ -535,6 +537,29 @@ class TestConstellationSpec:
     def test_rejects_nonpositive_peak(self):
         with pytest.raises(ParameterError):
             ConstellationSpec.intensity_ladder(4, 0.0)
+
+    @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+    @pytest.mark.parametrize("m, alpha", [(1, 3.0), (15, 3.0), (64, 30.0), (160, 100.0)])
+    def test_overlaps_give_the_ladders_gram(self, kind, m, alpha):
+        # the float levels' Gram is Toeplitz up to rounding in the levels
+        # and in its exponents, which reach 2 alpha^2
+        spec = getattr(ConstellationSpec, kind)(m, alpha)
+        g = spec.overlaps()
+        i = np.arange(2 * m)
+        assert g.shape == (2 * m,) and g[0] == 1.0
+        off = np.max(np.abs(gram_matrix(spec.ensemble()) - g[abs(i[:, None] - i)]))
+        assert off <= 1e-13 + 1e-15 * alpha**2
+
+    @pytest.mark.parametrize("alpha", [30.0, 100.0])
+    def test_phase_overlaps_keep_their_digits(self, alpha):
+        # the sin^2 form; exp(alpha^2 (cos - 1)) is off by up to 5e-13 here
+        m = 1024
+        g = ConstellationSpec.phase_ladder(m, alpha).overlaps()
+        with mpmath.workdps(40):
+            for d in range(64):
+                truth = float(mpmath.exp(-2 * mpmath.mpf(alpha) ** 2
+                                         * mpmath.sin(mpmath.pi * d / (4 * m)) ** 2))
+                assert abs(g[d] - truth) <= 1e-13 * truth, d
 
 
 def test_simulated_srm_eve_is_blind_under_osk(rng):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from y00sim.coherent_algebra import (
     MultiModeState,
@@ -14,6 +15,8 @@ from y00sim.coherent_algebra import (
     orthonormal_embedding,
     psd_matrix_sqrt,
     quasi_bell_reduced_eigenvalues,
+    toeplitz_embedding,
+    toeplitz_embedding_diagonal,
 )
 from y00sim.errors import DimensionError, IllConditionedEnsembleError, ParameterError
 from y00sim.y00_cipher import ConstellationSpec
@@ -24,7 +27,6 @@ from conftest import (
     gram_reference,
     ladder,
     psd_sqrt_reference,
-    solved_real,
 )
 
 
@@ -44,6 +46,28 @@ def grid_root_diagonal(two_m, alpha, h=0.2):
     a = np.pi**-0.25 * math.sqrt(h) * np.exp(-((x[:, None] - math.sqrt(2.0) * levels) ** 2) / 2)
     _, sigma, vt = np.linalg.svd(a, full_matrices=False)
     return (vt.T**2) @ sigma
+
+
+def jacobi_anger_root_diagonal(two_m, alpha):
+    """Diagonal of the Gram root of the phase ladder (2M levels of amplitude
+    alpha), from a factor as in grid_root_diagonal. By the Jacobi-Anger
+    expansion g(d) = sum_n w_n cos(n pi d / 2M), with w_0 = e^-z I_0(z) and
+    w_n = 2 e^-z I_n(z), z = alpha^2, so G = A^T A with A's rows
+    sqrt(w_n) cos(n theta_k) and sqrt(w_n) sin(n theta_k), theta_k = pi k / 2M;
+    12 alpha + 10 orders leave w below 1e-27."""
+    n = np.arange(int(12 * alpha) + 11)
+    w = ive(n, alpha**2)
+    w[1:] *= 2
+    angle = np.outer(n, np.pi * np.arange(two_m) / two_m)
+    a = np.concatenate([np.cos(angle), np.sin(angle)]) * np.tile(np.sqrt(w), 2)[:, None]
+    _, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    return (vt.T**2) @ sigma
+
+
+ROOT_DIAGONAL_REFERENCES = {
+    "intensity_ladder": grid_root_diagonal,
+    "phase_ladder": jacobi_anger_root_diagonal,
+}
 
 
 # Two-mode ensembles on either side of gram_matrix's test for imaginary
@@ -159,21 +183,7 @@ class TestPsdMatrixSqrt:
     @pytest.mark.parametrize("kind, two_m, alpha", LADDER_CASES)
     def test_bit_identical_to_reference(self, kind, two_m, alpha):
         g = gram_matrix(ladder(kind, two_m, alpha))
-        h = g.real if solved_real(kind, two_m) else g
-        assert np.array_equal(psd_matrix_sqrt(g), psd_sqrt_reference(h))
-
-    @pytest.mark.parametrize("two_m", [256, 640])
-    @pytest.mark.parametrize("alpha", [0.5, 3.0, 30.0, 100.0, 300.0])
-    def test_real_solver_as_accurate_as_the_complex_one(self, two_m, alpha):
-        # both solvers sit at eigh's sqrt(eps) floor; the package's real one
-        # must not lose digits against the complex one the reference runs
-        g = gram_matrix(ladder("intensity_ladder", two_m, alpha))
-        truth = grid_root_diagonal(two_m, alpha) ** 2
-
-        def state_error(root):
-            return np.max(np.abs(np.abs(np.diag(root)) ** 2 - truth))
-
-        assert state_error(psd_matrix_sqrt(g)) <= 1.5 * state_error(psd_sqrt_reference(g)) + 1e-12
+        assert np.array_equal(psd_matrix_sqrt(g), psd_sqrt_reference(g))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_leaves_input_unchanged(self, dtype, rng):
@@ -240,6 +250,47 @@ class TestEmbeddingDiagonal:
                             lambda _: rotation @ np.diag([1.0, -2e-8]) @ rotation.T)
         with pytest.raises(IllConditionedEnsembleError):
             embedding_diagonal(ens)
+
+
+class TestToeplitzEmbedding:
+    """The root of a ladder's Gram from the even and odd halves of its
+    overlap sequence, as the commands take it above 128 levels."""
+
+    @staticmethod
+    def toeplitz(g) -> np.ndarray:
+        i = np.arange(len(g))
+        return g[abs(i[:, None] - i)]
+
+    @pytest.mark.parametrize("kind, two_m, alpha", LADDER_CASES)
+    def test_squares_to_the_toeplitz_gram(self, kind, two_m, alpha):
+        g = getattr(ConstellationSpec, kind)(two_m // 2, alpha).overlaps()
+        s = toeplitz_embedding(g)
+        assert s.dtype == float and np.max(np.abs(s - s.T)) <= 1e-14
+        assert np.max(np.abs(s @ s - self.toeplitz(g))) <= 1e-13 + 1e-15 * two_m
+        assert np.max(np.abs(toeplitz_embedding_diagonal(g) - np.diag(s))) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+    @pytest.mark.parametrize("two_m", [256, 640])
+    @pytest.mark.parametrize("alpha", [0.5, 3.0, 30.0, 100.0, 300.0])
+    def test_as_accurate_as_the_full_root(self, kind, two_m, alpha):
+        # both roots sit at eigh's sqrt(eps) floor on near-singular Grams;
+        # the split must not lose digits against the 2M x 2M root
+        spec = getattr(ConstellationSpec, kind)(two_m // 2, alpha)
+        truth = ROOT_DIAGONAL_REFERENCES[kind](two_m, alpha) ** 2
+
+        def state_error(diagonal):
+            return np.max(np.abs(np.abs(diagonal) ** 2 - truth))
+
+        full = np.diag(psd_matrix_sqrt(gram_matrix(spec.ensemble())))
+        split = toeplitz_embedding_diagonal(spec.overlaps())
+        assert state_error(split) <= 1.5 * state_error(full) + 1e-12
+
+    @pytest.mark.parametrize("g", [[1.0, 1.0 + 1e-6], [1.0, -1.0 - 1e-6]], ids=["odd", "even"])
+    @pytest.mark.parametrize("embed", [toeplitz_embedding, toeplitz_embedding_diagonal])
+    def test_rejects_a_half_below_tolerance(self, g, embed):
+        # G_o = g(0) - g(1) and G_e = g(0) + g(1) each reach -1e-6 in turn
+        with pytest.raises(IllConditionedEnsembleError):
+            embed(np.array(g))
 
 
 class TestQuasiBell:

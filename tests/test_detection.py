@@ -8,9 +8,9 @@ import pytest
 from y00sim.coherent_algebra import (
     MultiModeState,
     StateEnsemble,
-    embedding_diagonal,
     inner_product,
     orthonormal_embedding,
+    toeplitz_embedding_diagonal,
 )
 from y00sim.detection import (
     DiscriminationProblem,
@@ -31,7 +31,6 @@ from conftest import (
     gram_reference,
     ladder,
     psd_sqrt_reference,
-    solved_real,
 )
 
 
@@ -190,7 +189,7 @@ class TestSrmError:
         ens = ladder(kind, two_m, alpha)
         report = srm_error(ens)
         g = gram_reference(ens)
-        s = psd_sqrt_reference(g.real if solved_real(kind, two_m) else g)
+        s = psd_sqrt_reference(g)
         per_state = np.clip(np.abs(np.diag(s)) ** 2, 0.0, 1.0)
         assert np.array_equal(report.per_state_correct, per_state)
         error = min(max(1.0 - float(per_state.mean()), 0.0), (two_m - 1) / two_m)
@@ -198,10 +197,9 @@ class TestSrmError:
         assert np.array_equal(report.confusion, confusion_reference(s))
 
     def test_traced_peak_memory(self):
-        # the Gram build, its root and the confusion matrix work in place, and
-        # this real Gram is factored in real arithmetic, so at most 1.5
-        # complex 2M x 2M arrays' bytes are live at once (the complex Gram
-        # beside the real eigenvectors); the complex solver would hold 3
+        # the Gram build, its root and the confusion matrix work in place, so
+        # at most 3 complex 2M x 2M arrays are live at once: the Gram beside
+        # its eigenvectors, then the eigenvectors beside their scaled copy
         ens = ConstellationSpec.intensity_ladder(320, 100.0).ensemble()
         tracemalloc.start()
         try:
@@ -209,20 +207,21 @@ class TestSrmError:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * 640**2 * 16
+        assert peak <= 3.1 * 640**2 * 16
 
     def test_diagonal_path_traced_peak_memory(self):
-        # attacks' path frees the Gram after its real eigh and forms no root,
-        # so the peak is the same 1.5 complex 2M x 2M arrays' bytes; the
-        # complex solver would hold 2
-        ens = ConstellationSpec.intensity_ladder(320, 100.0).ensemble()
+        # attacks' path above 128 levels forms only real M x M arrays: the
+        # two Toeplitz blocks, a half and the eigenvectors of each half, so
+        # at most 6 of them are live at once (16 would fill the complex
+        # 2M x 2M Gram and its eigenvectors)
+        spec = ConstellationSpec.intensity_ladder(320, 100.0)
         tracemalloc.start()
         try:
-            srm_diagonal(embedding_diagonal(ens))
+            srm_diagonal(toeplitz_embedding_diagonal(spec.overlaps()))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * 640**2 * 16
+        assert peak <= 6 * 320**2 * 8
 
 
 class TestMinimaxPair:

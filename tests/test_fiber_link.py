@@ -11,6 +11,7 @@ from y00sim.fiber_link import (
     ber_on_off,
     bob_practical_vs_optimal,
     decision_point,
+    gaussian_ber,
     level_photon_rate,
     mean_photocurrent,
     noise_budget,
@@ -265,6 +266,35 @@ def test_a_budget_out_of_double_precision_raises(params, call):
 def test_a_rate_that_is_not_finite_raises(call, rate):
     with pytest.raises(ParameterError, match="finite"):
         LINK_CALLS[call](LinkParams(), rate, 1e9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args, fragment", [
+    ((math.nan, 0.0, 1.0, 1.0), "finite"),
+    ((1.0, 0.0, math.inf, 1.0), "finite"),
+    ((1.0, -math.inf, 1.0, 1.0), "finite"),
+    ((np.array([1.0, math.nan]), 0.0, 1.0, 1.0), "finite"),
+    ((1.0, 0.0, -1.0, 1.0), "sigmas must be >= 0"),
+    ((1.0, 0.0, 1.0, np.array([1.0, -1e-300])), "sigmas must be >= 0"),
+    ((1e308, -1e308, 1.0, 1.0), "overflow"),
+], ids=["nan_current", "inf_sigma", "inf_current", "nan_in_array", "negative_sigma",
+        "negative_in_array", "q_overflows"])
+def test_gaussian_ber_rejects_what_it_cannot_evaluate(args, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        gaussian_ber(*args)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("params, rate, fragment", [
+    (LinkParams(), math.nan, "finite"),
+    (LinkParams(), -math.inf, "finite"),
+    (LinkParams(), np.array([1e9, math.inf]), "finite"),
+    (LinkParams(g_p=1e300), 1e300, "overflows"),
+    (LinkParams(g_p=1e300), np.array([1.0, 1e300]), "overflows"),
+], ids=["nan_rate", "inf_rate", "inf_in_array", "current_overflows", "overflow_in_array"])
+def test_mean_photocurrent_rejects_what_it_cannot_evaluate(params, rate, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        mean_photocurrent(params, rate)
 
 
 @pytest.mark.parametrize(

@@ -29,11 +29,15 @@ ARGVS = [
     ["run", "{cfg}", "--set", "keystream=counter_hash", "--out", "{out}"],
     ["run", "{cfg}", "--set", "coding=off", "--out", "{out}"],
     ["attacks", "{cfg}", "--set", "kind=phase_ladder", "--out", "{out}"],
+    # both ladders above 128 levels, where the root comes from the Toeplitz halves
+    ["run", "{cfg}", "--set", "M=65", "--set", "trials=2000", "--out", "{out}"],
+    ["attacks", "{cfg}", "--set", "M=65", "--out", "{out}"],
+    ["attacks", "{cfg}", "--set", "M=65", "--set", "kind=phase_ladder", "--out", "{out}"],
     # a config error, then a seed error
     ["run", "{cfg}", "--set", "M=nope", "--out", "{out}"],
     ["run", "{cfg}", "--set", "seed_key=0000", "--out", "{out}"],
 ]
-EXIT_CODES = [0] * 10 + [2, 1]
+EXIT_CODES = [0] * 13 + [2, 1]
 
 # library API that no command calls, each with the reason it stays
 KEPT = {

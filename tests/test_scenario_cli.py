@@ -249,6 +249,21 @@ def test_one_gram_eigensolve_per_command(monkeypatch, command):
     assert calls == ["eigh"]
 
 
+@pytest.mark.parametrize("command, kind", [
+    (run_scenario, "intensity_ladder"),
+    (attack_suite, "intensity_ladder"),
+    (attack_suite, "phase_ladder"),
+])
+def test_large_ladder_takes_two_half_size_eigensolves(monkeypatch, command, kind):
+    # above 128 levels the Gram root comes from the even and odd M x M
+    # halves of the overlap sequence, with no 2M x 2M eigensolve
+    config = replace(default_config(), kind=kind, m_bases=65, trials=2000)
+    full = count_eigensolves(monkeypatch, 130)
+    halves = count_eigensolves(monkeypatch, 65)
+    command(config)
+    assert (full, halves) == ([], ["eigh", "eigh"])
+
+
 def count_root_products(monkeypatch, n: int) -> list:
     """Record every n x n by n x n matmul made with the eigenvectors of an
     n x n eigh, or with arrays computed from them by ufuncs; a product's
@@ -346,6 +361,16 @@ def test_non_overlap_run_takes_one_gram_root(monkeypatch):
     calls = count_eigensolves(monkeypatch, 2 * config.m_bases)
     run_scenario(config)
     assert sorted(calls) == ["eigh", "eigvalsh"]
+
+
+def test_large_non_overlap_run_takes_one_full_size_eigvalsh(monkeypatch):
+    # the root comes from the two halves; the trace norm of the signed bit
+    # operator still needs the one 2M x 2M eigvalsh
+    config = replace(default_config(), assignment="non_overlap", m_bases=65, trials=2000)
+    full = count_eigensolves(monkeypatch, 130)
+    halves = count_eigensolves(monkeypatch, 65)
+    run_scenario(config)
+    assert (full, halves) == (["eigvalsh"], ["eigh", "eigh"])
 
 
 class TestSweep:
