@@ -180,12 +180,20 @@ def _toeplitz_half_factors(overlaps: np.ndarray) -> tuple[tuple, tuple]:
     with G_e = G11 + G12 J and G_o = G11 - G12 J (Cantoni & Butler, Linear
     Algebra Appl. 13, 1976), where G11[i, j] = g(|i - j|) and (G12 J)[i, j]
     = g(2M - 1 - i - j). Each half gets its own negative-eigenvalue check
-    and rounding floor.
+    and rounding floor. G11 and G12 J are strided views of g, so the only
+    M x M arrays formed are the halves and their factors.
     """
-    m = len(overlaps) // 2
-    i = np.arange(m)
-    g11 = overlaps[abs(i[:, None] - i)]
-    g12_j = overlaps[2 * m - 1 - i[:, None] - i]
+    g = np.asarray(overlaps, dtype=float)
+    if g.ndim != 1 or not g.size or g.size % 2:
+        raise DimensionError(f"an overlap sequence needs an even length >= 2, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise ParameterError("overlaps must be finite")
+    m = g.size // 2
+    windows = np.lib.stride_tricks.sliding_window_view
+    # row i of the reversed windows over g(m-1), .., g(1), g(0), .., g(m-1)
+    # starts at g(i) and counts down to g(0), then up
+    g11 = windows(np.concatenate([g[m - 1:0:-1], g[:m]]), m)[::-1]
+    g12_j = windows(g[::-1], m)[:m]
     return _eigen_factor(g11 + g12_j), _eigen_factor(g11 - g12_j)
 
 

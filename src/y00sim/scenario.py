@@ -432,7 +432,7 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
     mean_i, sigma_i, thresholds, basis_ber = config._link[0]
 
     # the levels are the distinct kets of either assignment's bit mixtures
-    if len(spec.levels) <= _PINNED_LADDER_MAX_ROWS:
+    if 2 * m <= _PINNED_LADDER_MAX_ROWS:
         root = orthonormal_embedding(spec.ensemble())
     else:
         root = toeplitz_embedding(spec.overlaps())
@@ -615,9 +615,10 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
         fraction: EntangledFraction = entangled_fraction(state)
         rows.append((eta, fraction.fraction, fraction.closed_form))
 
-    worst_prior, worst_error = minimax_pair(*spec.levels[:2])
+    worst_prior, worst_error = minimax_pair(*spec.level_states(2))
     # the error needs only the root's diagonal, not the root or the outcome distribution
-    if len(spec.levels) <= _PINNED_LADDER_MAX_ROWS:
+    n_levels = 2 * spec.m_bases
+    if n_levels <= _PINNED_LADDER_MAX_ROWS:
         diagonal = embedding_diagonal(spec.ensemble())
     else:
         diagonal = toeplitz_embedding_diagonal(spec.overlaps())
@@ -626,7 +627,7 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
         worst_pair_prior=worst_prior,
         worst_pair_error=worst_error,
         srm_state_error=srm_state_error,
-        guessing_error=guess_baseline(len(spec.levels)),
+        guessing_error=guess_baseline(n_levels),
         probe_alpha=probe_alpha,
         fraction_rows=tuple(rows),
     )

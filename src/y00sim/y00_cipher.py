@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -297,34 +297,39 @@ def _check_alpha_max(alpha_max: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ConstellationSpec:
-    """The 2M-level signal set and its pairing into M bases. Frozen: a
-    config builds its spec once and every reader shares it."""
+    """The 2M-level signal set and its pairing into M bases: ``amplitudes``
+    holds one row of mode amplitudes per level, as a read-only complex
+    (2M, modes) array. Frozen: a config builds its spec once and every
+    reader shares it."""
 
     kind: str
     m_bases: int
     alpha_max: float
-    levels: tuple[MultiModeState, ...]
+    amplitudes: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("intensity_ladder", "phase_ladder"):
             raise ParameterError(f"unknown constellation kind {self.kind!r}")
         if self.m_bases < 1:
             raise ParameterError("need at least one basis")
-        if len(self.levels) != 2 * self.m_bases:
-            raise ParameterError("a constellation has exactly 2M levels")
-        if self.kind == "intensity_ladder":
-            amps = [lvl.modes[0].real for lvl in self.levels]
-            if any(b <= a for a, b in zip(amps, amps[1:])):
-                raise ParameterError("intensity levels must be strictly increasing")
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.ndim != 2 or len(amps) != 2 * self.m_bases or not amps.shape[1]:
+            raise ParameterError("a constellation has exactly 2M levels of at least one mode")
+        if not np.isfinite(amps).all():
+            raise ParameterError("mode amplitudes must be finite")
+        if self.kind == "intensity_ladder" and (np.diff(amps[:, 0].real) <= 0).any():
+            raise ParameterError("intensity levels must be strictly increasing")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def intensity_ladder(cls, m_bases: int, alpha_max: float) -> "ConstellationSpec":
         """Levels alpha_i = alpha_max * i / (2M), i = 1 .. 2M."""
         _check_alpha_max(alpha_max)
-        levels = tuple(
-            MultiModeState.single(alpha_max * i / (2 * m_bases)) for i in range(1, 2 * m_bases + 1)
-        )
-        return cls("intensity_ladder", m_bases, float(alpha_max), levels)
+        levels = np.arange(1, 2 * m_bases + 1, dtype=float)
+        levels *= alpha_max
+        levels /= 2 * m_bases
+        return cls("intensity_ladder", m_bases, float(alpha_max), levels[:, None])
 
     @classmethod
     def phase_ladder(cls, m_bases: int, alpha: float) -> "ConstellationSpec":
@@ -337,14 +342,25 @@ class ConstellationSpec:
         for k in range(2 * m_bases):
             phi = 2.0 * math.pi * k / (2 * m_bases)
             rot = complex(math.cos(phi / 2.0), math.sin(phi / 2.0))
-            levels.append(MultiModeState((base / rot, base * rot)))
-        return cls("phase_ladder", m_bases, float(alpha), tuple(levels))
+            levels.append((base / rot, base * rot))
+        return cls("phase_ladder", m_bases, float(alpha), levels)
+
+    def level_states(self, count: int) -> tuple[MultiModeState, ...]:
+        """The states of the first ``count`` levels."""
+        return tuple(MultiModeState(tuple(row)) for row in self.amplitudes[:count].tolist())
+
+    @cached_property
+    def levels(self) -> tuple[MultiModeState, ...]:
+        """All 2M level states, built when first read: the generic Gram root
+        at <= 128 levels, Eve's bit mixtures and the criteria read them."""
+        return self.level_states(2 * self.m_bases)
 
     def level_amplitudes(self) -> np.ndarray:
-        """Real level amplitudes of the intensity ladder, index 0 = level 1."""
+        """Real level amplitudes of the intensity ladder, index 0 = level 1,
+        as a read-only view."""
         if self.kind != "intensity_ladder":
             raise ParameterError("level amplitudes are only defined for the intensity ladder")
-        return np.array([lvl.modes[0].real for lvl in self.levels])
+        return self.amplitudes[:, 0].real
 
     def overlaps(self) -> np.ndarray:
         """g(0 .. 2M-1), the real overlap of two levels of the exact ladder a

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 import sympy
 from scipy import stats
 
-from y00sim.coherent_algebra import gram_matrix
+from y00sim.coherent_algebra import MultiModeState, gram_matrix
 from y00sim.errors import ParameterError, SeedError
 from y00sim.kernels import level_index
 from y00sim.y00_cipher import (
@@ -528,6 +530,66 @@ class TestConstellationSpec:
         spec = ConstellationSpec.intensity_ladder(2, 8.0)
         assert np.allclose(spec.level_amplitudes(), [2.0, 4.0, 6.0, 8.0])
 
+    @pytest.mark.parametrize("m, alpha", [(16, 100.0), (15, 100.0), (300, 100.0), (65, 3.0)])
+    def test_amplitudes_are_the_per_level_floats(self, m, alpha):
+        # the array holds the bits of alpha_max * i / (2M) computed a level at
+        # a time, with imaginary parts +0.0, and builds the same level states
+        spec = ConstellationSpec.intensity_ladder(m, alpha)
+        per_level = [alpha * i / (2 * m) for i in range(1, 2 * m + 1)]
+        assert spec.amplitudes.shape == (2 * m, 1)
+        assert spec.level_amplitudes().tolist() == per_level
+        assert not np.signbit(spec.amplitudes.imag).any() and not spec.amplitudes.imag.any()
+        assert spec.levels == tuple(MultiModeState.single(a) for a in per_level)
+
+    @pytest.mark.parametrize("m, alpha", [(1, 3.0), (15, 3.0), (65, 30.0)])
+    def test_phase_amplitudes_are_the_per_level_quotients(self, m, alpha):
+        spec = ConstellationSpec.phase_ladder(m, alpha)
+        base = complex(alpha) / math.sqrt(2.0)
+        for k, row in enumerate(spec.amplitudes.tolist()):
+            phi = 2.0 * math.pi * k / (2 * m)
+            rot = complex(math.cos(phi / 2.0), math.sin(phi / 2.0))
+            assert row == [base / rot, base * rot], k
+
+    def test_amplitudes_are_read_only(self):
+        mine = np.array([[1.0], [2.0], [3.0], [4.0]])
+        spec = ConstellationSpec("intensity_ladder", 2, 4.0, mine)
+        mine[0, 0] = 9.0  # the spec keeps its own copy
+        assert spec.level_amplitudes().tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert mine.flags.writeable
+        for view in (spec.amplitudes, spec.level_amplitudes()):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 0.0
+        assert np.shares_memory(spec.level_amplitudes(), spec.amplitudes)
+
+    @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+    def test_levels_are_built_when_first_read(self, kind, monkeypatch):
+        built = []
+        original = MultiModeState.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(MultiModeState, "__post_init__", counted)
+        spec = getattr(ConstellationSpec, kind)(320, 100.0)
+        spec.overlaps()
+        assert built == []
+        assert spec.levels is spec.levels and len(built) == 640
+        assert spec.level_states(2) == spec.levels[:2]
+
+    def test_ladder_traced_peak_memory(self):
+        # the (2M, 1) complex array beside its float source: 22 KB at 640
+        # levels, where 640 MultiModeState objects would take 129 KB
+        ConstellationSpec.intensity_ladder(2, 1.0)
+        tracemalloc.start()
+        try:
+            ConstellationSpec.intensity_ladder(320, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024
+
     def test_basis_pairs_split_by_m(self):
         spec = ConstellationSpec.intensity_ladder(4, 4.0)
         low, high = spec.basis_pair(2)
@@ -596,12 +658,20 @@ SPEC = ConstellationSpec.intensity_ladder(2, 4.0)
         (lambda: KeystreamGenerator(SEED, kind="x"), ParameterError, "unknown keystream kind"),
         (lambda: KeystreamGenerator(SEED).peek(-1), ParameterError, "negative number of bits"),
         (lambda: BasisAssignment("x"), ParameterError, "unknown assignment mode"),
-        (lambda: ConstellationSpec("x", 2, 4.0, SPEC.levels), ParameterError,
+        (lambda: ConstellationSpec("x", 2, 4.0, SPEC.amplitudes), ParameterError,
          "unknown constellation kind"),
-        (lambda: ConstellationSpec("intensity_ladder", 0, 4.0, ()), ParameterError,
+        (lambda: ConstellationSpec("intensity_ladder", 0, 4.0, np.empty((0, 1))), ParameterError,
          "at least one basis"),
-        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, SPEC.levels[:3]), ParameterError,
-         "exactly 2M levels"),
+        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, SPEC.amplitudes[:3]),
+         ParameterError, "exactly 2M levels"),
+        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, SPEC.amplitudes[:, 0]),
+         ParameterError, "exactly 2M levels"),
+        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, np.empty((4, 0))),
+         ParameterError, "exactly 2M levels"),
+        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, [[1], [2], [np.nan], [4]]),
+         ParameterError, "must be finite"),
+        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, [[1], [2], [2], [4]]),
+         ParameterError, "strictly increasing"),
         (lambda: SPEC.basis_pair(2), ParameterError, "basis index 2 out of range"),
         (lambda: draw_uniform(KeystreamGenerator(SEED), 0, 1), ParameterError, "bound >= 1"),
         (lambda: key_expansion_session(SEED, 0, np.random.default_rng(0)), ParameterError,

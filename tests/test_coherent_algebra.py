@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ive
 
+from y00sim import coherent_algebra
 from y00sim.coherent_algebra import (
     MultiModeState,
     StateEnsemble,
@@ -291,6 +292,39 @@ class TestToeplitzEmbedding:
         # G_o = g(0) - g(1) and G_e = g(0) + g(1) each reach -1e-6 in turn
         with pytest.raises(IllConditionedEnsembleError):
             embed(np.array(g))
+
+    @pytest.mark.parametrize("g, error", [
+        ([1.0, 0.5, 0.2], DimensionError),
+        ([], DimensionError),
+        ([[1.0, 0.5], [0.5, 1.0]], DimensionError),
+        ([1.0, np.nan], ParameterError),
+        ([1.0, 0.5, np.inf, 0.1], ParameterError),
+    ], ids=["odd", "empty", "matrix", "nan", "inf"])
+    @pytest.mark.parametrize("embed", [toeplitz_embedding, toeplitz_embedding_diagonal])
+    def test_rejects_a_malformed_overlap_sequence(self, g, error, embed):
+        with pytest.raises(error):
+            embed(g)
+
+    @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+    @pytest.mark.parametrize("m", [1, 128, 224, 320])
+    def test_halves_match_an_index_gather(self, monkeypatch, kind, m):
+        # the halves built from strided views of g carry the bits of
+        # G11 +/- G12 J gathered with index matrices
+        g = getattr(ConstellationSpec, kind)(m, 100.0).overlaps()
+        i = np.arange(m)
+        g11 = g[abs(i[:, None] - i)]
+        g12_j = g[2 * m - 1 - i[:, None] - i]
+        halves = []
+
+        def recorded(matrix, _original=coherent_algebra._eigen_factor):
+            halves.append(np.array(matrix))
+            return _original(matrix)
+
+        monkeypatch.setattr(coherent_algebra, "_eigen_factor", recorded)
+        toeplitz_embedding_diagonal(g)
+        assert len(halves) == 2
+        assert np.array_equal(halves[0], g11 + g12_j)
+        assert np.array_equal(halves[1], g11 - g12_j)
 
 
 class TestQuasiBell:

@@ -211,9 +211,10 @@ class TestSrmError:
 
     def test_diagonal_path_traced_peak_memory(self):
         # attacks' path above 128 levels forms only real M x M arrays: the
-        # two Toeplitz blocks, a half and the eigenvectors of each half, so
-        # at most 6 of them are live at once (16 would fill the complex
-        # 2M x 2M Gram and its eigenvectors)
+        # blocks are views of the overlap sequence, so a half, the
+        # eigenvectors of each half and a scaled copy are all there is, at
+        # most 4 live at once (16 would fill the complex 2M x 2M Gram and
+        # its eigenvectors)
         spec = ConstellationSpec.intensity_ladder(320, 100.0)
         tracemalloc.start()
         try:
@@ -221,7 +222,7 @@ class TestSrmError:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 320**2 * 8
+        assert peak <= 4 * 320**2 * 8
 
 
 class TestMinimaxPair:

@@ -41,6 +41,7 @@ EXIT_CODES = [0] * 13 + [2, 1]
 
 # library API that no command calls, each with the reason it stays
 KEPT = {
+    "coherent_algebra.MultiModeState.single": "acceptance criteria 3 and 4",
     "coherent_algebra.quasi_bell_reduced_eigenvalues": "acceptance criterion 7",
     "detection.srm_error": "acceptance criteria 1 and 4",
     "fiber_link.ber_on_off": "acceptance criterion 9",

@@ -264,6 +264,28 @@ def test_large_ladder_takes_two_half_size_eigensolves(monkeypatch, command, kind
     assert (full, halves) == ([], ["eigh", "eigh"])
 
 
+@pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+def test_large_ladder_attacks_build_no_per_level_states(monkeypatch, kind):
+    # above 128 levels attacks reads the spec's amplitude array and overlap
+    # sequence: the state objects it builds (the minimax pair and the
+    # entanglement probe's kets) do not grow with M
+    built = []
+    original = coherent_algebra.MultiModeState.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(coherent_algebra.MultiModeState, "__post_init__", counted)
+    counts = []
+    for m in (65, 320):
+        coherent_algebra._four_ket_embedding.cache_clear()
+        built.clear()
+        attack_suite(replace(default_config(), kind=kind, m_bases=m))
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 6
+
+
 def count_root_products(monkeypatch, n: int) -> list:
     """Record every n x n by n x n matmul made with the eigenvectors of an
     n x n eigh, or with arrays computed from them by ufuncs; a product's
