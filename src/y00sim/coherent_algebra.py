@@ -24,6 +24,10 @@ from .errors import DimensionError, IllConditionedEnsembleError, ParameterError
 # Eigenvalues of a Gram matrix this far below zero are not rounding noise.
 _GRAM_NEG_TOL = 1e-8
 
+# Overlaps below this magnitude, about 4.9e-32, are set to 0 before the
+# even/odd split; _toeplitz_half_factors gives the reason.
+_OVERLAP_FLUSH = np.finfo(float).eps ** 2
+
 
 def _require_finite(value: complex, name: str) -> complex:
     value = complex(value)
@@ -182,12 +186,19 @@ def _toeplitz_half_factors(overlaps: np.ndarray) -> tuple[tuple, tuple]:
     = g(2M - 1 - i - j). Each half gets its own negative-eigenvalue check
     and rounding floor. G11 and G12 J are strided views of g, so the only
     M x M arrays formed are the halves and their factors.
+
+    Overlaps with |g(d)| < eps^2 (_OVERLAP_FLUSH) are set to exact 0 first.
+    A ladder's g(d) decays like a Gaussian, so a large ladder's tail runs
+    down through the subnormals, which x86 multiplies in slow microcode
+    inside eigh's reduction. Dropping them moves G by at most 2M eps^2 in
+    norm, far below eigh's backward error of order eps ||G||.
     """
     g = np.asarray(overlaps, dtype=float)
     if g.ndim != 1 or not g.size or g.size % 2:
         raise DimensionError(f"an overlap sequence needs an even length >= 2, got shape {g.shape}")
     if not np.isfinite(g).all():
         raise ParameterError("overlaps must be finite")
+    g = np.where(np.abs(g) < _OVERLAP_FLUSH, 0.0, g)
     m = g.size // 2
     windows = np.lib.stride_tricks.sliding_window_view
     # row i of the reversed windows over g(m-1), .., g(1), g(0), .., g(m-1)

@@ -436,7 +436,13 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
         root = orthonormal_embedding(spec.ensemble())
     else:
         root = toeplitz_embedding(spec.overlaps())
-    eve_report = helstrom_mixed_pair(eve_bit_mixtures(spec, assignment), root)
+    if assignment.mode == "osk":
+        # both bit mixtures are the uniform mixture of all 2M levels, so
+        # they are one density operator and no measurement beats a guess
+        eve_bit_error = 0.5
+    else:
+        problem = eve_bit_mixtures(spec, assignment)
+        eve_bit_error = helstrom_mixed_pair(problem, root).error_probability
     _, eve_state_error = srm_diagonal(np.diag(root))
     eve_cut = _eve_cuts(root, m)
     bob_cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
@@ -482,7 +488,7 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
         bob_ber_montecarlo=bob_errors / n,
         bob_ber_stderr=_stderr(bob_errors, n),
         bob_error_count=bob_errors,
-        eve_bit_error_analytic=eve_report.error_probability,
+        eve_bit_error_analytic=eve_bit_error,
         eve_bit_error_montecarlo=eve_errors / n,
         eve_bit_error_stderr=_stderr(eve_errors, n),
         eve_bit_error_count=eve_errors,

@@ -312,7 +312,10 @@ class ConstellationSpec:
             raise ParameterError(f"unknown constellation kind {self.kind!r}")
         if self.m_bases < 1:
             raise ParameterError("need at least one basis")
-        amps = np.array(self.amplitudes, dtype=complex)
+        try:
+            amps = np.array(self.amplitudes, dtype=complex)
+        except (TypeError, ValueError) as exc:  # ragged rows or a non-number
+            raise ParameterError(f"mode amplitudes must be a 2-D array of numbers: {exc}") from exc
         if amps.ndim != 2 or len(amps) != 2 * self.m_bases or not amps.shape[1]:
             raise ParameterError("a constellation has exactly 2M levels of at least one mode")
         if not np.isfinite(amps).all():

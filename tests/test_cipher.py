@@ -672,6 +672,10 @@ SPEC = ConstellationSpec.intensity_ladder(2, 4.0)
          ParameterError, "must be finite"),
         (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, [[1], [2], [2], [4]]),
          ParameterError, "strictly increasing"),
+        (lambda: ConstellationSpec("intensity_ladder", 2, 1.0, [[1], [2, 3], [4], [5]]),
+         ParameterError, "2-D array of numbers"),
+        (lambda: ConstellationSpec("intensity_ladder", 2, 1.0, [[1], ["x"], [4], [5]]),
+         ParameterError, "2-D array of numbers"),
         (lambda: SPEC.basis_pair(2), ParameterError, "basis index 2 out of range"),
         (lambda: draw_uniform(KeystreamGenerator(SEED), 0, 1), ParameterError, "bound >= 1"),
         (lambda: key_expansion_session(SEED, 0, np.random.default_rng(0)), ParameterError,

@@ -257,6 +257,8 @@ class TestToeplitzEmbedding:
     """The root of a ladder's Gram from the even and odd halves of its
     overlap sequence, as the commands take it above 128 levels."""
 
+    FLUSH = np.finfo(float).eps ** 2  # overlaps below it go to 0 in the split
+
     @staticmethod
     def toeplitz(g) -> np.ndarray:
         i = np.arange(len(g))
@@ -305,15 +307,24 @@ class TestToeplitzEmbedding:
         with pytest.raises(error):
             embed(g)
 
+    @staticmethod
+    def gathered_halves(g) -> tuple[np.ndarray, np.ndarray]:
+        """G11 + G12 J and G11 - G12 J of g's Toeplitz Gram, gathered with
+        index matrices."""
+        m = len(g) // 2
+        i = np.arange(m)
+        g11 = g[abs(i[:, None] - i)]
+        g12_j = g[2 * m - 1 - i[:, None] - i]
+        return g11 + g12_j, g11 - g12_j
+
     @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
     @pytest.mark.parametrize("m", [1, 128, 224, 320])
     def test_halves_match_an_index_gather(self, monkeypatch, kind, m):
         # the halves built from strided views of g carry the bits of
-        # G11 +/- G12 J gathered with index matrices
+        # G11 +/- G12 J gathered from g with every |g(d)| < eps^2 set to 0,
+        # so on these ladders no nonzero value below eps^2 reaches eigh
         g = getattr(ConstellationSpec, kind)(m, 100.0).overlaps()
-        i = np.arange(m)
-        g11 = g[abs(i[:, None] - i)]
-        g12_j = g[2 * m - 1 - i[:, None] - i]
+        flushed = np.where(np.abs(g) < self.FLUSH, 0.0, g)
         halves = []
 
         def recorded(matrix, _original=coherent_algebra._eigen_factor):
@@ -323,8 +334,33 @@ class TestToeplitzEmbedding:
         monkeypatch.setattr(coherent_algebra, "_eigen_factor", recorded)
         toeplitz_embedding_diagonal(g)
         assert len(halves) == 2
-        assert np.array_equal(halves[0], g11 + g12_j)
-        assert np.array_equal(halves[1], g11 - g12_j)
+        for half, gathered in zip(halves, self.gathered_halves(flushed)):
+            assert np.array_equal(half, gathered)
+            magnitude = np.abs(half)
+            assert not np.any((magnitude > 0) & (magnitude < self.FLUSH))
+
+    @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+    @pytest.mark.parametrize("m", [65, 129, 320])
+    @pytest.mark.parametrize("alpha", [0.5, 30.0, 300.0, 1e4])
+    def test_matches_the_unflushed_halves_bit_for_bit(self, kind, m, alpha):
+        # the overlaps below eps^2 that the split sets to 0 lie far below
+        # eigh's backward error: factoring the unflushed halves gives the
+        # same diagonal, bit for bit, and the same root wherever it or the
+        # reference holds an entry of at least eps^2
+        g = getattr(ConstellationSpec, kind)(m, alpha).overlaps()
+        (u_e, root_e), (u_o, root_o) = (
+            coherent_algebra._eigen_factor(half) for half in self.gathered_halves(g)
+        )
+        lower = (np.vecdot(u_e, u_e * root_e) + np.vecdot(u_o, u_o * root_o)) / 2
+        assert np.array_equal(toeplitz_embedding_diagonal(g), np.concatenate([lower, lower[::-1]]))
+
+        s_e = (u_e * root_e) @ u_e.T
+        s_o = (u_o * root_o) @ u_o.T
+        a, b = (s_e + s_o) / 2, (s_e - s_o) / 2
+        reference = np.block([[a, b[:, ::-1]], [b[::-1], a[::-1, ::-1]]])
+        root = toeplitz_embedding(g)
+        visible = np.maximum(np.abs(root), np.abs(reference)) >= self.FLUSH
+        assert np.array_equal(root[visible], reference[visible])
 
 
 class TestQuasiBell:
