@@ -72,15 +72,12 @@ def helstrom_pure_pair(overlap_sq: float, p1: float = 0.5) -> float:
     return 0.5 * (1.0 - math.sqrt(max(inner, 0.0)))
 
 
-def helstrom_mixed_pair(
-    problem: DiscriminationProblem, embedding: Optional[np.ndarray] = None
-) -> DetectionReport:
+def helstrom_mixed_pair(problem: DiscriminationProblem) -> DetectionReport:
     """Minimum error between two mixtures: (1 - ||p1 rho1 - p0 rho0||_1) / 2.
 
     The signed operator is assembled in the span of the union ensemble;
     exactly identical kets are merged first (their signed weights add),
-    which keeps degenerate problems such as identical mixtures exact. A
-    given ``embedding`` of the distinct kets, in first-seen order, saves a root.
+    which keeps degenerate problems such as identical mixtures exact.
     """
     ens = problem.ensemble
     signs = np.zeros(len(ens))
@@ -92,13 +89,20 @@ def helstrom_mixed_pair(
     states = tuple(merged.keys())
     coeffs = np.array(list(merged.values()))
     if len(states) == 1 or np.all(coeffs == 0.0):
-        trace_norm = abs(coeffs.sum())
+        error = 0.5 * (1.0 - min(abs(coeffs.sum()), 1.0))
     else:
-        v = orthonormal_embedding(StateEnsemble.uniform(states)) if embedding is None else embedding
-        delta = (v * coeffs) @ v.conj().T
-        trace_norm = float(np.abs(np.linalg.eigvalsh(delta)).sum())
-    error = 0.5 * (1.0 - min(trace_norm, 1.0))
-    return DetectionReport(error_probability=max(error, 0.0))
+        error = helstrom_error(orthonormal_embedding(StateEnsemble.uniform(states)), coeffs)
+    return DetectionReport(error_probability=error)
+
+
+def helstrom_error(coordinates: np.ndarray, weights: np.ndarray) -> float:
+    """Minimum error (1 - ||Delta||_1) / 2 between two mixtures given as
+    kets in orthonormal ``coordinates``, one column per ket, and signed
+    ``weights``: each ket's prior, negated under hypothesis 0, so that
+    Delta = p1 rho1 - p0 rho0 = sum_k w_k |v_k><v_k|."""
+    delta = (coordinates * weights) @ coordinates.conj().T
+    trace_norm = float(np.abs(np.linalg.eigvalsh(delta)).sum())
+    return max(0.5 * (1.0 - min(trace_norm, 1.0)), 0.0)
 
 
 def srm_error(ensemble: StateEnsemble) -> DetectionReport:

@@ -182,20 +182,20 @@ def gaussian_ber(i_on, i_off, sigma_on, sigma_off):
     """The decision error at ``decision_point``'s threshold, from its
     currents and sigmas: Gaussian model with Q = (i_on - i_off) /
     (sigma_on + sigma_off), giving P(0|1) = P(1|0) = Phi(-Q). A noise-free
-    link gives 0. Raises ParameterError when an input is not finite, a
-    sigma is negative or Q overflows."""
+    link gives 0, and so does one whose Q overflows to +inf (Phi(-inf) is
+    0). Raises ParameterError when an input is not finite, a sigma is
+    negative, or the current gap and the sigma sum both overflow."""
     i_on, i_off, sigma_on, sigma_off = np.broadcast_arrays(i_on, i_off, sigma_on, sigma_off)
     if not all(np.isfinite(v).all() for v in (i_on, i_off, sigma_on, sigma_off)):
         raise ParameterError("currents and sigmas must be finite")
     if (sigma_on < 0).any() or (sigma_off < 0).any():
         raise ParameterError("sigmas must be >= 0")
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            denom = sigma_on + sigma_off
-            noisy = denom != 0.0
-            q = (i_on - i_off) / np.where(noisy, denom, 1.0)
-    except ArithmeticError as exc:
-        raise ParameterError(str(exc)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = sigma_on + sigma_off
+        noisy = denom != 0.0
+        q = (i_on - i_off) / np.where(noisy, denom, 1.0)
+    if np.isnan(q).any():  # inf / inf
+        raise ParameterError("Q is inf / inf: the current gap and the sigma sum both overflow")
     return np.where(noisy, 0.5 * _erfc(q / math.sqrt(2.0)), 0.0)[()]
 
 

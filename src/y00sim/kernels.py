@@ -107,65 +107,22 @@ def lfsr_fill(state, mask, n_bits):
     return np.unpackbits(packed.view(np.uint8), bitorder="little"), states[supers]
 
 
-_SIGN = np.uint64(1 << 63)
-
-
-def _keys(x: np.ndarray) -> np.ndarray:
-    """Order-preserving uint64 keys of float64 values: x < y exactly when
-    key(x) < key(y), for non-NaN x and y other than a pair of zeros."""
-    bits = np.asarray(x, dtype=np.float64).view(np.uint64)
-    return np.where(bits & _SIGN, ~bits, bits | _SIGN)
-
-
-def _floats(keys: np.ndarray) -> np.ndarray:
-    return np.where(keys & _SIGN, keys ^ _SIGN, ~keys).view(np.float64)
-
-
-_MAX = np.finfo(np.float64).max
-_KEY_LOW, _KEY_HIGH = _keys(np.array([-_MAX, _MAX]))
-
-
 def decision_cuts(mean_i, sigma_i, thr_level):
-    """Per-level cut of the threshold decision: for every finite z,
-    ``mean_i + sigma_i * z > thr_level`` (numpy float64) holds exactly when
-    ``z > cut``.
+    """Per-level cut of Bob's threshold decision, (thr_level - mean_i) /
+    sigma_i: a symbol on the level is decided high when its noise draw z
+    exceeds the cut, where its photocurrent mean + sigma * z exceeds the
+    threshold.
 
-    Both roundings are monotone and sigma >= 0, so the decision is
-    nondecreasing in z and flips at most once. The cut is the largest finite
-    z that fails, searched over the order-preserving keys of all finite
-    float64 values: a bracket gallops out from the quotient (thr - mean) /
-    sigma, near which a real link's cut lies, until its low end fails and its
-    high end passes, and bisection ends inside it. The cut is -inf when every
-    finite z passes and the largest float when none does (as on a noise-free
-    link).
+    The quotient rounds twice, so it can sit a few ulps from the exact
+    flip of the float expression ``mean + sigma * z > thr``; on a valid link
+    the window between them is about 1e-14 of the cut. The degenerate levels
+    decide as that expression does. A noise-free level's cut is +-inf, so
+    every finite z passes or none does; where thr == mean and sigma == 0 it
+    is NaN, and z > nan is False; an overflowing quotient is +-inf.
     """
     mean, sigma, thr = (np.asarray(a, dtype=np.float64) for a in (mean_i, sigma_i, thr_level))
-
-    def passes(keys):
-        return mean + sigma * _floats(keys) > thr
-
-    # sigma * z and thr - mean may overflow, and the quotient be +-inf or nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lo = hi = _keys(np.nan_to_num((thr - mean) / sigma))
-        step = np.uint64(1)
-        while True:
-            up = passes(np.stack([lo, hi]))
-            lo_done, hi_done = ~up[0] | (lo == _KEY_LOW), up[1] | (hi == _KEY_HIGH)
-            if (lo_done & hi_done).all():
-                break
-            lo = np.where(lo_done, lo, np.maximum(lo, _KEY_LOW + step) - step)
-            hi = np.where(hi_done, hi, np.minimum(hi, _KEY_HIGH - step) + step)
-            step <<= np.uint64(1)
-        every, none = up[0], ~up[1]  # a passing low end is -max, a failing high end max
-        lo = np.where(every | none, hi - np.uint64(1), lo)  # nothing to search
-        # invariant: lo fails and hi passes
-        while True:
-            mid = lo + ((hi - lo) >> np.uint64(1))
-            if (mid == lo).all():
-                break
-            up = passes(mid)
-            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-    return np.where(every, -np.inf, np.where(none, _MAX, _floats(lo)))
+        return (thr - mean) / sigma
 
 
 def level_index(basis, high, m):

@@ -28,12 +28,7 @@ from .coherent_algebra import (
     toeplitz_embedding,
     toeplitz_embedding_diagonal,
 )
-from .detection import (
-    guess_baseline,
-    helstrom_mixed_pair,
-    minimax_pair,
-    srm_diagonal,
-)
+from .detection import guess_baseline, helstrom_error, minimax_pair, srm_diagonal
 from .errors import ConfigError, IllConditionedEnsembleError, ParameterError
 from .fiber_link import LinkParams, decision_point, gaussian_ber, level_photon_rate
 from .overlap_coding import analytic_block_error, pattern_array
@@ -44,7 +39,6 @@ from .y00_cipher import (
     SeedKey,
     draw_symbol_frames,
     draw_uniform,
-    eve_bit_mixtures,
     is_maximal_lfsr,
     lfsr_polynomial,
 )
@@ -441,8 +435,9 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
         # they are one density operator and no measurement beats a guess
         eve_bit_error = 0.5
     else:
-        problem = eve_bit_mixtures(spec, assignment)
-        eve_bit_error = helstrom_mixed_pair(problem, root).error_probability
+        # bit 0 is sent on the lower half of the levels and bit 1 on the
+        # upper, each level with prior 1/2M: the root's columns are the kets
+        eve_bit_error = helstrom_error(root, np.repeat((-1.0, 1.0), m) / (2 * m))
     _, eve_state_error = srm_diagonal(np.diag(root))
     eve_cut = _eve_cuts(root, m)
     bob_cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))

@@ -10,19 +10,22 @@ from y00sim.coherent_algebra import (
     StateEnsemble,
     inner_product,
     orthonormal_embedding,
+    toeplitz_embedding,
     toeplitz_embedding_diagonal,
 )
 from y00sim.detection import (
     DiscriminationProblem,
     guess_baseline,
+    helstrom_error,
     helstrom_mixed_pair,
     helstrom_pure_pair,
     minimax_pair,
     srm_diagonal,
     srm_error,
 )
+from y00sim import scenario
 from y00sim.errors import ParameterError
-from y00sim.scenario import attack_suite, default_config
+from y00sim.scenario import attack_suite, default_config, run_scenario
 from y00sim.y00_cipher import BasisAssignment, ConstellationSpec, eve_bit_mixtures
 
 from conftest import (
@@ -109,14 +112,26 @@ class TestHelstromMixedPair:
         problem = eve_bit_mixtures(spec, BasisAssignment("non_overlap"))
         assert helstrom_mixed_pair(problem).error_probability > 0.48
 
-    def test_a_given_embedding_gives_the_same_bounds(self):
-        # the distinct kets of either bit split are the ladder's levels
-        spec = ConstellationSpec.intensity_ladder(8, 3.0)
-        embedding = orthonormal_embedding(spec.ensemble())
-        for mode in ("osk", "non_overlap"):
-            problem = eve_bit_mixtures(spec, BasisAssignment(mode))
-            given = helstrom_mixed_pair(problem, embedding).error_probability
-            assert given == helstrom_mixed_pair(problem).error_probability
+    @pytest.mark.parametrize("m", [8, 64, 65, 100])
+    @pytest.mark.parametrize("alpha_max", [3.0, 100.0])
+    def test_run_prints_the_bit_mixtures_bound(self, m, alpha_max):
+        # run hands its Gram root and the weights -+1/2M of the two halves
+        # to helstrom_error. Up to 128 levels that root is the one
+        # helstrom_mixed_pair builds; above, it is the Toeplitz halves' root,
+        # which differs from it in the last digits
+        config = replace(default_config(), m_bases=m, alpha_max=alpha_max,
+                         assignment="non_overlap", coding=False, trials=10)
+        spec = config.constellation()
+        problem = eve_bit_mixtures(spec, BasisAssignment("non_overlap"))
+        printed = run_scenario(config).eve_bit_error_analytic
+        expected = helstrom_mixed_pair(problem).error_probability
+        if 2 * m <= scenario._PINNED_LADDER_MAX_ROWS:
+            assert printed == expected
+        else:
+            ens = problem.ensemble
+            signs = np.where(np.isin(np.arange(len(ens)), problem.hypothesis_1), 1.0, -1.0)
+            assert printed == helstrom_error(toeplitz_embedding(spec.overlaps()), signs * ens.priors)
+            assert printed == pytest.approx(expected, rel=1e-11)
 
 
 class TestSrmError:

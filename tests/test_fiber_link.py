@@ -276,12 +276,24 @@ def test_a_rate_that_is_not_finite_raises(call, rate):
     ((np.array([1.0, math.nan]), 0.0, 1.0, 1.0), "finite"),
     ((1.0, 0.0, -1.0, 1.0), "sigmas must be >= 0"),
     ((1.0, 0.0, 1.0, np.array([1.0, -1e-300])), "sigmas must be >= 0"),
-    ((1e308, -1e308, 1.0, 1.0), "overflow"),
+    ((1e308, -1e308, 1e308, 1e308), "inf / inf"),
 ], ids=["nan_current", "inf_sigma", "inf_current", "nan_in_array", "negative_sigma",
-        "negative_in_array", "q_overflows"])
+        "negative_in_array", "gap_and_sigma_sum_overflow"])
 def test_gaussian_ber_rejects_what_it_cannot_evaluate(args, fragment):
     with pytest.raises(ParameterError, match=fragment):
         gaussian_ber(*args)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args, ber", [
+    ((1e308, -1e308, 1.0, 1.0), 0.0),
+    ((1.0, 0.0, 5e-324, 0.0), 0.0),
+    ((-1e308, 1e308, 1.0, 1.0), 1.0),
+    ((1.0, 0.0, np.array([1.0, 5e-324]), 0.0), np.array([gaussian_ber(1.0, 0.0, 1.0, 0.0), 0.0])),
+], ids=["gap_overflows", "quotient_overflows", "negative_q_overflows", "overflow_in_array"])
+def test_gaussian_ber_takes_the_limit_where_q_overflows(args, ber):
+    # Q = +-inf, and Phi(-Q) is its limit 0 or 1
+    assert np.array_equal(gaussian_ber(*args), ber)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

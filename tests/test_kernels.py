@@ -2,10 +2,11 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from y00sim import kernels, scenario
 from y00sim.coherent_algebra import orthonormal_embedding
+from y00sim.errors import ConfigError
 from y00sim.overlap_coding import pattern_array
 from y00sim.scenario import ScenarioConfig
 from y00sim.y00_cipher import LFSR_MASKS, ConstellationSpec
@@ -103,17 +104,37 @@ LINKS = {
 }
 
 
+_SIGN = np.uint64(1 << 63)
+BIG = np.finfo(np.float64).max
+
+
+def float_keys(x: np.ndarray) -> np.ndarray:
+    """Order-preserving uint64 keys of float64 values: x < y exactly when
+    key(x) < key(y), for non-NaN x and y other than a pair of zeros."""
+    bits = np.asarray(x, dtype=np.float64).view(np.uint64)
+    return np.where(bits & _SIGN, ~bits, bits | _SIGN)
+
+
+def key_floats(keys: np.ndarray) -> np.ndarray:
+    return np.where(keys & _SIGN, keys ^ _SIGN, ~keys).view(np.float64)
+
+
+KEY_LOW, KEY_HIGH = float_keys(np.array([-BIG, BIG]))
+
+
 def full_range_cuts(mean, sigma, thr):
-    """The cut by bisection over the keys of every finite float64, from the
-    lowest to the highest, the reference for decision_cuts' bracketed search:
-    the largest key that fails, -inf when every finite z passes and the
-    largest float when none does."""
+    """The exact cut of the float expression mean + sigma * z > thr, the
+    oracle for decision_cuts' quotient: the largest finite z that fails,
+    -inf when every finite z passes and the largest float when none does.
+    Both roundings are monotone and sigma >= 0, so the expression flips at
+    most once in z, and bisection over the keys of every finite float64
+    finds where."""
     def passes(keys):
-        return mean + sigma * kernels._floats(keys) > thr
+        return mean + sigma * key_floats(keys) > thr
 
     with np.errstate(over="ignore"):
         shape = np.broadcast_shapes(mean.shape, sigma.shape, thr.shape)
-        lo, hi = np.full(shape, kernels._KEY_LOW), np.full(shape, kernels._KEY_HIGH)
+        lo, hi = np.full(shape, KEY_LOW), np.full(shape, KEY_HIGH)
         every, none = passes(lo), ~passes(hi)
         lo = np.where(every | none, hi - np.uint64(1), lo)
         while True:
@@ -122,13 +143,7 @@ def full_range_cuts(mean, sigma, thr):
                 break
             up = passes(mid)
             lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-    return np.where(every, -np.inf, np.where(none, np.finfo(np.float64).max, kernels._floats(lo)))
-
-
-def assert_same_cuts(mean, sigma, thr):
-    """decision_cuts gives the reference's cuts, bit for bit."""
-    cut = kernels.decision_cuts(mean, sigma, thr)
-    assert np.array_equal(cut.view(np.uint64), full_range_cuts(mean, sigma, thr).view(np.uint64))
+    return np.where(every, -np.inf, np.where(none, BIG, key_floats(lo)))
 
 
 def link_levels(overrides):
@@ -136,90 +151,104 @@ def link_levels(overrides):
     mean_i, sigma_i, thresholds, _ = scenario._link_tables(
         config.link_params(), config.constellation()
     )
-    return config.m_bases, mean_i, sigma_i, thresholds
+    return config.m_bases, mean_i, sigma_i, np.tile(thresholds, 2)
 
 
-def assert_exact_cuts(mean, sigma, thr, rng):
-    """z > cut decides as the float expression at the cut, one ulp either
-    side of it, and at random normals."""
+U = 2.0 ** -53  # unit roundoff
+TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def cut_bound(sigma, thr, cut):
+    """How far the quotient (thr - mean) / sigma may lie from the exact cut
+    of a noisy level. The quotient rounds thr - mean and then the division:
+    2u |cut|. The float expression rounds sigma * z, by u |thr - mean| near
+    the cut, or by half the subnormal spacing, and then the sum, by u |thr|
+    (exact among subnormals): its flip moves by their sum over sigma. The
+    exact cut is the largest float that fails, one more spacing. The 2 is
+    slack for second-order terms."""
+    return 2 * (3 * U * abs(cut) + (U * abs(thr) + TINY) / sigma) + np.spacing(abs(cut))
+
+
+def assert_cuts_near_the_exact_ones(mean, sigma, thr):
+    """decision_cuts within cut_bound of the oracle's exact cuts on noisy
+    levels. On a noise-free one it is not finite, and every finite z passes
+    it exactly when every one passes the oracle's: -inf, or +inf or NaN
+    (thr == mean), which none passes. The oracle is checked too: its cut
+    fails and the next float up passes."""
     cut = kernels.decision_cuts(mean, sigma, thr)
-    n = mean.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.concatenate([
-            cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf),
-            np.tile(cut, 8) * (1.0 + 1e-6 * rng.standard_normal(8 * n)),
-            rng.standard_normal(64 * n),
-        ])
-    level = np.arange(z.size) % n
-    finite = np.isfinite(z)
-    z, level = z[finite], level[finite]
+    exact = full_range_cuts(mean, sigma, thr)
+    noisy, quiet = sigma > 0, sigma == 0
+    bound = cut_bound(sigma[noisy], thr[noisy], cut[noisy])
+    assert np.all(np.abs(cut[noisy] - exact[noisy]) <= bound)
+    assert not np.isfinite(cut[quiet]).any()
+    assert np.array_equal(0.0 > cut[quiet], exact[quiet] == -np.inf)
+    inner = np.isfinite(exact) & (exact < BIG)
+    mean, sigma, thr, exact = mean[inner], sigma[inner], thr[inner], exact[inner]
     with np.errstate(over="ignore"):
-        expected = mean[level] + sigma[level] * z > thr[level]
-    assert np.array_equal(z > cut[level], expected)
+        assert not np.any(mean + sigma * exact > thr)
+        assert np.all(mean + sigma * np.nextafter(exact, np.inf) > thr)
     return cut
 
 
 @pytest.mark.parametrize("link", sorted(LINKS))
-def test_decision_cuts_are_exact_on_link_tables(link):
-    m, mean_i, sigma_i, thresholds = link_levels(LINKS[link])
-    cut = assert_exact_cuts(mean_i, sigma_i, np.tile(thresholds, 2), np.random.default_rng(m))
-    assert_same_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
+def test_decision_cuts_are_near_the_exact_cuts_on_link_tables(link):
+    m, mean_i, sigma_i, thr = link_levels(LINKS[link])
+    cut = assert_cuts_near_the_exact_ones(mean_i, sigma_i, thr)
     # a low level passes above its cut and a high one below it
     assert np.all(cut[:m] > 0) and np.all(cut[m:] < 0)
 
 
-def test_decision_cuts_at_the_extremes():
-    big = np.finfo(np.float64).max
-    tiny = np.finfo(np.float64).smallest_subnormal
-    # (mean, sigma, thr): noise-free levels, thresholds out of reach, a
-    # sigma so small next to the mean that the decision flips far from
-    # (thr - mean) / sigma, and an overflowing product
-    cases = np.array([
-        (1.0, 0.0, 0.5), (1.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 0.0, 0.0),
-        (1.0, 1e-300, -1e308), (1.0, 1e-300, 1e308), (-1e308, 1.0, 1e308),
-        (1.0, 1e-20, 1.0 + 2.0**-52), (1.0, 1e-20, 1.0 - 2.0**-53), (1e-5, 3e-21, 1e-5),
-        (1.0, tiny, 1.0), (0.0, tiny, 0.0), (0.0, tiny, tiny), (0.0, 1e308, 1e308),
-        (-1.0, 1e-300, -1.0), (0.0, 1.0, -0.0),
-    ]).T
-    cut = assert_exact_cuts(*cases, np.random.default_rng(1))
-    assert_same_cuts(*cases)
-    assert list(cut[:4]) == [-np.inf, big, big, big]
-    assert cut[4] == -np.inf and cut[5] == big
-    # the decision flips far from the naive quotient (thr - mean) / sigma
-    mean, sigma, thr = cases[:, 7]
-    assert abs(cut[7] / ((thr - mean) / sigma) - 1) > 0.1
-
-
-# both zeros, subnormals and values up to 1e308, so that sigma * z and
-# thr - mean overflow
-FINITE = st.floats(-1e308, 1e308)
-SIGMAS = st.one_of(st.just(-0.0), st.floats(0.0, 1e308))
+def powers(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
 
 
 @st.composite
-def decision_levels(draw):
-    """(mean, sigma, thr) of one level: thr anywhere, or within 10 sigma of
-    the mean, where the decision flips for ordinary z."""
-    mean, sigma = draw(FINITE), draw(SIGMAS)
-    near = mean + sigma * draw(st.floats(-10.0, 10.0))
-    return mean, sigma, draw(FINITE) if draw(st.booleans()) or not np.isfinite(near) else near
+def valid_links(draw):
+    """The level tables of a valid intensity ladder link: every value drawn
+    across its range on a log scale, and half the links amplifier-free with
+    no thermal noise, where a tiny n_mean or bandwidth rounds some levels'
+    shot noise to 0."""
+    fields = dict(
+        m_bases=draw(st.integers(1, 64)), alpha_max=draw(powers(-3, 8)),
+        n_mean=draw(powers(-300, 20)), n_sp=draw(powers(0, 2)),
+        bandwidth=draw(powers(-3, 12)), delta_f=draw(powers(-3, 12)),
+    )
+    if draw(st.booleans()):
+        fields.update(g_p=1.0, n_repeaters=0, thermal_var=0.0)
+    else:
+        fields.update(g_p=draw(powers(0, 4)), kappa_r=draw(powers(-3, 0)),
+                      n_repeaters=draw(st.integers(0, 50)),
+                      thermal_var=draw(st.one_of(st.just(0.0), powers(-30, -5))))
+    try:
+        return link_levels(fields)
+    except ConfigError:
+        assume(False)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.lists(decision_levels(), min_size=1, max_size=8))
-def test_decision_cuts_match_full_range_bisection(levels):
-    assert_same_cuts(*np.array(levels, dtype=np.float64).T)
+@given(valid_links())
+def test_decision_cuts_are_near_the_exact_cuts_on_valid_links(link):
+    assert_cuts_near_the_exact_ones(*link[1:])
 
 
-def test_decision_cuts_start_near_the_cut(monkeypatch):
-    # the search starts at (thr - mean) / sigma, a few ulps from a real
-    # link's cut; bisecting the whole float range takes 64 passes or more
-    _, mean_i, sigma_i, thresholds = link_levels({})
-    calls = []
-    floats = kernels._floats
-    monkeypatch.setattr(kernels, "_floats", lambda keys: calls.append(keys) or floats(keys))
-    kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
-    assert 0 < len(calls) <= 12
+def test_decision_cuts_at_the_extremes():
+    # (mean, sigma, thr): noise-free levels, thresholds on a noise-free
+    # mean, quotients that overflow, and gaps thr - mean that overflow
+    cases = np.array([
+        (1.0, 0.0, 0.5), (1.0, 0.0, 2.0), (1.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+        (1.0, 1e-300, -1e308), (1.0, 1e-300, 1e308), (-1e308, 1.0, 1e308), (1e308, 1.0, -1e308),
+    ]).T
+    cut = kernels.decision_cuts(*cases)
+    assert list(cut[:2]) == [-np.inf, np.inf] and np.isnan(cut[2:4]).all()
+    assert list(cut[4:]) == [-np.inf, np.inf, np.inf, -np.inf]
+    # each decides as the float expression on every finite z, as the exact cut does
+    z = np.concatenate([np.random.default_rng(1).standard_normal(1000),
+                        [-BIG, -1e300, -1.0, -TINY, -0.0, 0.0, TINY, 1.0, 1e300, BIG]])
+    for mean, sigma, thr, c, exact in zip(*cases, cut, full_range_cuts(*cases)):
+        with np.errstate(over="ignore"):
+            expected = mean + sigma * z > thr
+        assert np.array_equal(z > c, expected)
+        assert np.array_equal(z > exact, expected)
 
 
 def near_cuts(cuts, rng):
@@ -233,8 +262,9 @@ def near_cuts(cuts, rng):
 
 @pytest.mark.parametrize("link", sorted(LINKS))
 def test_one_cut_kernels_match_the_float_decisions(link):
-    m, mean_i, sigma_i, thresholds = link_levels(LINKS[link])
-    cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
+    m, mean_i, sigma_i, thr = link_levels(LINKS[link])
+    thresholds = thr[:m]
+    cut = full_range_cuts(mean_i, sigma_i, thr)
     block_cuts, block_high = kernels.block_tables(cut, pattern_array())
     rng = np.random.default_rng(2 * m + len(link))
     n = 30_000
@@ -355,8 +385,8 @@ def test_lfsr_fill_matches_oracle_on_any_register(register, n):
 def test_narrow_draw_lanes_cannot_wrap_an_index(m):
     # keyed draws come as uint8 up to M=256 and uint16 up to M=1024; from
     # M=43 on a uint8 basis * 6 would wrap, and basis + M * high from M=128
-    _, mean_i, sigma_i, thresholds = link_levels(dict(m_bases=m))
-    cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
+    _, mean_i, sigma_i, thr = link_levels(dict(m_bases=m))
+    cut = kernels.decision_cuts(mean_i, sigma_i, thr)
     block_cuts, block_high = kernels.block_tables(cut, pattern_array())
     rng = np.random.default_rng(m)
     n = 20_000

@@ -633,6 +633,21 @@ class TestCli:
             spread = 4 * float(cells[f"{name}_stderr"])
             assert abs(float(cells[f"{name}_montecarlo"]) - analytic) <= spread
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_link_whose_q_overflows_has_ber_0(self, tmp_path, capsys):
+        # a subnormal bandwidth leaves the shot noise so small next to the
+        # current gap that Q overflows: the BER is its limit 0, not a config error
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(default_config().to_text())
+        argv = ["run", str(config_path)]
+        for item in ("B=5e-324", "n_mean=1e300", "G_p=1", "kappa_r=1", "N=0", "I_th_var=0",
+                     "trials=2000"):
+            argv += ["--set", item]
+        assert cli_main(argv) == 0
+        cells = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()[1:])
+        assert cells["bob_ber_analytic"] == cells["block_error_analytic"] == "0.0000000000000000e+00"
+        assert cells["bob_error_count"] == cells["block_error_count"] == "0"
+
     def test_readme_commands_run(self, tmp_path, monkeypatch, capsys):
         # every line of the README's fenced block of y00sim commands, in order
         readme = (Path(__file__).parents[1] / "README.md").read_text()
