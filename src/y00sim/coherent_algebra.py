@@ -265,6 +265,7 @@ class LossySharedState:
 
     The density matrix lives in the 4-dimensional orthonormalized span of
     {|+/-alpha> x |+/-alpha>}, ordered (a,a), (a,-a), (-a,a), (-a,-a).
+    ``lossy_shared_states`` builds it and checks that it is a density matrix.
     """
 
     alpha: float
@@ -275,62 +276,73 @@ class LossySharedState:
     printed_loss: float
     _psi2_coords: np.ndarray
 
-    def __post_init__(self):
-        m = self.matrix
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise IllConditionedEnsembleError("density matrix must have unit trace")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise IllConditionedEnsembleError("density matrix must be Hermitian")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise IllConditionedEnsembleError("density matrix must be positive semidefinite")
 
+def lossy_shared_states(alpha: float, etas) -> tuple[LossySharedState, ...]:
+    """The shared two-party state after loss on the transmitted arm, one per
+    channel transparency in ``etas``, all at the probe amplitude ``alpha``.
 
-def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:
-    """Build the shared two-party state after loss on the transmitted arm.
-
-    Requires alpha > 0 and eta in (0, 1]; at eta = 0 the pre-amplified arm
-    alpha/sqrt(eta) diverges and the channel is degenerate. At an alpha so
-    small that <alpha|-alpha> rounds to 1 the two kets coincide.
+    Requires alpha > 0 and each eta in (0, 1]; at eta = 0 the pre-amplified
+    arm alpha/sqrt(eta) diverges and the channel is degenerate. At an alpha
+    so small that <alpha|-alpha> rounds to 1 the two kets coincide. The
+    density matrices are formed as one (n, 4, 4) stack and checked together
+    for unit trace, Hermiticity and positivity (IllConditionedEnsembleError).
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"eta={eta} must lie in (0, 1]; the channel degenerates at eta=0")
+    etas = tuple(float(eta) for eta in etas)
+    if not etas:
+        raise ParameterError("need at least one eta")
+    for eta in etas:
+        if not 0.0 < eta <= 1.0:
+            raise ParameterError(f"eta={eta} must lie in (0, 1]; the channel degenerates at eta=0")
     a = float(alpha)
     kappa_a = math.exp(-2.0 * a * a)
     if 1.0 - kappa_a**2 == 0.0:
         raise ParameterError(f"alpha={alpha} is too small: the overlap <alpha|-alpha> rounds to 1")
-    v = _four_ket_embedding(a)
-    u_vec = v[:, 1]  # |alpha, -alpha>
-    w_vec = v[:, 2]  # |-alpha, alpha>
+    direct, cross, psi2 = _four_ket_embedding(a)
 
-    loss_overlap = math.exp(-2.0 * (1.0 - eta) * a * a / eta)
-    printed_loss = math.exp(-4.0 * (1.0 - eta) * a * a)
-
+    loss = [math.exp(-2.0 * (1.0 - eta) * a * a / eta) for eta in etas]
     # trace over the loss mode leaves the two ket-kets intact and scales the
-    # two cross ket-bras by the loss-mode overlap
-    weight = 1.0 / (2.0 * (1.0 - loss_overlap * kappa_a**2))
-    rho = weight * (
-        np.outer(u_vec, u_vec.conj())
-        + np.outer(w_vec, w_vec.conj())
-        - loss_overlap * (np.outer(u_vec, w_vec.conj()) + np.outer(w_vec, u_vec.conj()))
+    # two cross ket-bras by the loss-mode overlap; each element takes the
+    # same operations as it would for one eta alone
+    loss_col = np.array(loss)[:, None, None]
+    weight = 1.0 / (2.0 * (1.0 - loss_col * kappa_a**2))
+    rho = weight * (direct - loss_col * cross)
+
+    trace = np.trace(rho, axis1=1, axis2=2)
+    if (np.abs(trace.real - 1.0) > 1e-10).any() or (np.abs(trace.imag) > 1e-10).any():
+        raise IllConditionedEnsembleError("density matrix must have unit trace")
+    if np.max(np.abs(rho - rho.conj().swapaxes(1, 2))) > 1e-10:
+        raise IllConditionedEnsembleError("density matrix must be Hermitian")
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
+        raise IllConditionedEnsembleError("density matrix must be positive semidefinite")
+    return tuple(
+        LossySharedState(
+            alpha=a,
+            eta=eta,
+            matrix=matrix,
+            kappa_a=kappa_a,
+            loss_overlap=loss_overlap,
+            printed_loss=math.exp(-4.0 * (1.0 - eta) * a * a),
+            _psi2_coords=psi2,
+        )
+        for eta, matrix, loss_overlap in zip(etas, rho, loss)
     )
-    psi2 = (u_vec - w_vec) / math.sqrt(2.0 * (1.0 - kappa_a**2))
-    return LossySharedState(
-        alpha=a,
-        eta=float(eta),
-        matrix=rho,
-        kappa_a=kappa_a,
-        loss_overlap=loss_overlap,
-        printed_loss=printed_loss,
-        _psi2_coords=psi2,
-    )
+
+
+def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:
+    """The shared two-party state at one channel transparency; see
+    ``lossy_shared_states``."""
+    return lossy_shared_states(alpha, (eta,))[0]
 
 
 @lru_cache(maxsize=1)  # a probe's states at every eta share one alpha
-def _four_ket_embedding(a: float) -> np.ndarray:
-    """Read-only orthonormal embedding of |+/-a> x |+/-a>, ordered as in
-    ``LossySharedState``; it does not depend on eta."""
+def _four_ket_embedding(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only parts of the shared states at probe amplitude ``a`` that do
+    not depend on eta, in the embedding of ``LossySharedState``: with
+    u = |a, -a> and w = |-a, a>, the ket-ket terms uu^dagger + ww^dagger, the
+    cross terms uw^dagger + wu^dagger, and the reference state
+    psi2 = (u - w) / sqrt(2 (1 - kappa_a^2))."""
     kets = [
         MultiModeState((a, a)),
         MultiModeState((a, -a)),
@@ -338,8 +350,15 @@ def _four_ket_embedding(a: float) -> np.ndarray:
         MultiModeState((-a, -a)),
     ]
     v = orthonormal_embedding(StateEnsemble.uniform(kets))
-    v.flags.writeable = False
-    return v
+    u_vec, w_vec = v[:, 1], v[:, 2]
+    parts = (
+        np.outer(u_vec, u_vec.conj()) + np.outer(w_vec, w_vec.conj()),
+        np.outer(u_vec, w_vec.conj()) + np.outer(w_vec, u_vec.conj()),
+        (u_vec - w_vec) / math.sqrt(2.0 * (1.0 - math.exp(-2.0 * a * a) ** 2)),
+    )
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 class EntangledFraction(NamedTuple):

@@ -183,8 +183,10 @@ def gaussian_ber(i_on, i_off, sigma_on, sigma_off):
     currents and sigmas: Gaussian model with Q = (i_on - i_off) /
     (sigma_on + sigma_off), giving P(0|1) = P(1|0) = Phi(-Q). A noise-free
     link gives 0, and so does one whose Q overflows to +inf (Phi(-inf) is
-    0). Raises ParameterError when an input is not finite, a sigma is
-    negative, or the current gap and the sigma sum both overflow."""
+    0). A one-sided link, sigma_off == 0 < sigma_on, has its threshold on
+    i_off: P(1|0) = 0, and the error is Phi(-Q) / 2. Raises ParameterError
+    when an input is not finite, a sigma is negative, or the current gap
+    and the sigma sum both overflow."""
     i_on, i_off, sigma_on, sigma_off = np.broadcast_arrays(i_on, i_off, sigma_on, sigma_off)
     if not all(np.isfinite(v).all() for v in (i_on, i_off, sigma_on, sigma_off)):
         raise ParameterError("currents and sigmas must be finite")
@@ -196,7 +198,15 @@ def gaussian_ber(i_on, i_off, sigma_on, sigma_off):
         q = (i_on - i_off) / np.where(noisy, denom, 1.0)
     if np.isnan(q).any():  # inf / inf
         raise ParameterError("Q is inf / inf: the current gap and the sigma sum both overflow")
-    return np.where(noisy, 0.5 * _erfc(q / math.sqrt(2.0)), 0.0)[()]
+    ber = np.where(noisy, 0.5 * _erfc(q / math.sqrt(2.0)), 0.0)
+    return np.where(one_sided(sigma_on, sigma_off), ber / 2, ber)[()]
+
+
+def one_sided(sigma_on, sigma_off):
+    """Whether a link's off level is noise-free and its on level is not: then
+    only the on level errs. Every noise term grows with the rate, so
+    sigma_on >= sigma_off, and this is the only one-sided case."""
+    return (np.asarray(sigma_off) == 0.0) & (np.asarray(sigma_on) > 0.0)
 
 
 def level_photon_rate(params: LinkParams, spec: ConstellationSpec, level_index):

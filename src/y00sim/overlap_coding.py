@@ -26,8 +26,13 @@ def pattern_array() -> np.ndarray:
     return np.array(_PATTERNS, dtype=np.uint8)
 
 
-def analytic_block_error(p: float) -> float:
-    """Block error of majority-of-3 under symmetric symbol errors: 3p^2 - 2p^3."""
+def analytic_block_error(p: float, one_sided: bool = False) -> float:
+    """Block error of majority-of-3 at symbol error probability p: 3p^2 - 2p^3
+    under symmetric symbol errors. On a one-sided link only the high level
+    errs, with probability 2p, so only a two-high pattern (half the blocks)
+    can fail, when both its highs err: (2p)^2 / 2."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"symbol error probability must lie in [0, 1], got {p}")
+    if one_sided:
+        return 2.0 * p * p
     return 3.0 * p * p - 2.0 * p * p * p

@@ -20,17 +20,16 @@ import numpy as np
 
 from . import kernels
 from .coherent_algebra import (
-    EntangledFraction,
     embedding_diagonal,
     entangled_fraction,
-    lossy_shared_state,
+    lossy_shared_states,
     orthonormal_embedding,
     toeplitz_embedding,
     toeplitz_embedding_diagonal,
 )
 from .detection import guess_baseline, helstrom_error, minimax_pair, srm_diagonal
 from .errors import ConfigError, IllConditionedEnsembleError, ParameterError
-from .fiber_link import LinkParams, decision_point, gaussian_ber, level_photon_rate
+from .fiber_link import LinkParams, decision_point, gaussian_ber, level_photon_rate, one_sided
 from .overlap_coding import analytic_block_error, pattern_array
 from .y00_cipher import (
     BasisAssignment,
@@ -471,7 +470,9 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
             )
         block_fields = dict(
             coded_blocks=n,
-            block_error_analytic=float(np.mean([analytic_block_error(p) for p in basis_ber])),
+            block_error_analytic=float(np.mean(list(map(
+                analytic_block_error, basis_ber, one_sided(sigma_i[m:], sigma_i[:m])
+            )))),
             block_error_montecarlo=block_errors / n,
             block_error_stderr=_stderr(block_errors, n),
             block_error_count=block_errors,
@@ -604,17 +605,16 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
         probe_alpha = float(spec.level_amplitudes()[0])
     else:
         probe_alpha = float(config.alpha_max)
-    rows = []
-    for eta in _ETA_SWEEP:
-        try:
-            state = lossy_shared_state(probe_alpha, eta)
-        except (IllConditionedEnsembleError, ParameterError) as exc:
-            raise ConfigError(
-                f"alpha_max: the entanglement probe alpha={probe_alpha:g} is too small"
-                f" for the 4x4 embedding ({exc})"
-            ) from exc
-        fraction: EntangledFraction = entangled_fraction(state)
-        rows.append((eta, fraction.fraction, fraction.closed_form))
+    try:
+        states = lossy_shared_states(probe_alpha, _ETA_SWEEP)
+    except (IllConditionedEnsembleError, ParameterError) as exc:
+        raise ConfigError(
+            f"alpha_max: the entanglement probe alpha={probe_alpha:g} is too small"
+            f" for the 4x4 embedding ({exc})"
+        ) from exc
+    # each fraction is its own psi2^dagger rho psi2: one stacked product
+    # rounds differently in the last bit
+    rows = tuple((state.eta, *entangled_fraction(state)) for state in states)
 
     worst_prior, worst_error = minimax_pair(*spec.level_states(2))
     # the error needs only the root's diagonal, not the root or the outcome distribution
@@ -630,5 +630,5 @@ def attack_suite(config: ScenarioConfig) -> AttackReport:
         srm_state_error=srm_state_error,
         guessing_error=guess_baseline(n_levels),
         probe_alpha=probe_alpha,
-        fraction_rows=tuple(rows),
+        fraction_rows=rows,
     )

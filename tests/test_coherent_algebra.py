@@ -13,6 +13,7 @@ from y00sim.coherent_algebra import (
     gram_matrix,
     inner_product,
     lossy_shared_state,
+    lossy_shared_states,
     orthonormal_embedding,
     psd_matrix_sqrt,
     quasi_bell_reduced_eigenvalues,
@@ -20,6 +21,7 @@ from y00sim.coherent_algebra import (
     toeplitz_embedding_diagonal,
 )
 from y00sim.errors import DimensionError, IllConditionedEnsembleError, ParameterError
+from y00sim.scenario import _ETA_SWEEP
 from y00sim.y00_cipher import ConstellationSpec
 
 from conftest import (
@@ -457,6 +459,64 @@ class TestLossySharedState:
         lhs = kron_coords.T @ rho_ab @ kron_coords
         rhs = v4.conj().T @ state.matrix @ v4
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def per_eta_state(alpha: float, eta: float):
+    """(matrix, fraction, closed form) of the shared state built for one eta
+    alone, as the builder did before it stacked the sweep: the oracle."""
+    a = float(alpha)
+    kappa_a = math.exp(-2.0 * a * a)
+    kets = [MultiModeState((a, a)), MultiModeState((a, -a)),
+            MultiModeState((-a, a)), MultiModeState((-a, -a))]
+    v = orthonormal_embedding(StateEnsemble.uniform(kets))
+    u_vec, w_vec = v[:, 1], v[:, 2]
+    loss_overlap = math.exp(-2.0 * (1.0 - eta) * a * a / eta)
+    printed_loss = math.exp(-4.0 * (1.0 - eta) * a * a)
+    weight = 1.0 / (2.0 * (1.0 - loss_overlap * kappa_a**2))
+    rho = weight * (
+        np.outer(u_vec, u_vec.conj())
+        + np.outer(w_vec, w_vec.conj())
+        - loss_overlap * (np.outer(u_vec, w_vec.conj()) + np.outer(w_vec, u_vec.conj()))
+    )
+    psi2 = (u_vec - w_vec) / math.sqrt(2.0 * (1.0 - kappa_a**2))
+    fraction = min(max(float(np.real(psi2.conj() @ rho @ psi2)), 0.0), 1.0)
+    k2 = kappa_a**2
+    closed = ((1.0 - k2) / (1.0 - printed_loss * k2)
+              + (1.0 - printed_loss) * (1.0 - k2) ** 2 / (1.0 - printed_loss * k2))
+    return rho, fraction, closed
+
+
+# the default probe, attack_scan's range of probes, and probes near the
+# embedding floor
+STACKED_PROBES = [3.125, *np.linspace(0.045, 1.2, 12), *np.geomspace(1.1e-3, 1e-2, 6)]
+
+
+@pytest.mark.parametrize("alpha", STACKED_PROBES)
+def test_stacked_states_equal_per_eta_states_bit_for_bit(alpha):
+    coherent_algebra._four_ket_embedding.cache_clear()
+    states = lossy_shared_states(alpha, _ETA_SWEEP)
+    assert [state.eta for state in states] == list(_ETA_SWEEP)
+    for state, eta in zip(states, _ETA_SWEEP):
+        rho, fraction, closed = per_eta_state(alpha, eta)
+        assert state.matrix.tobytes() == rho.tobytes()
+        assert tuple(entangled_fraction(state)) == (fraction, closed)
+
+
+def test_one_eta_is_a_stack_of_one():
+    state = lossy_shared_state(0.7, 0.3)
+    rho, fraction, closed = per_eta_state(0.7, 0.3)
+    assert state.matrix.tobytes() == rho.tobytes()
+    assert tuple(entangled_fraction(state)) == (fraction, closed)
+
+
+@pytest.mark.parametrize("etas, fragment", [
+    ((), "at least one eta"),
+    ((1.0, 0.0), "must lie in"),
+    ((0.5, 1.5), "must lie in"),
+])
+def test_stacked_builder_checks_every_eta(etas, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        lossy_shared_states(1.0, etas)
 
 
 class TestEntangledFraction:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from y00sim.detection import helstrom_pure_pair
 from y00sim.errors import ParameterError
@@ -322,3 +323,44 @@ def test_mean_photocurrent_rejects_what_it_cannot_evaluate(params, rate, fragmen
 def test_argument_checks(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+def two_sided_ber(i_on, i_off, sigma_on, sigma_off):
+    """gaussian_ber as it read before one-sided links were split off: the
+    reference for every link whose off level is noisy, or whose levels are
+    both noise-free."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = sigma_on + sigma_off
+        noisy = denom != 0.0
+        q = (i_on - i_off) / np.where(noisy, denom, 1.0)
+    return np.where(noisy, 0.5 * np.vectorize(math.erfc)(q / math.sqrt(2.0)), 0.0)[()]
+
+
+def powers(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    g_p=powers(0, 4), kappa_r=powers(-3, 0), n_repeaters=st.integers(0, 50),
+    n_sp=powers(0, 2), bandwidth=powers(-3, 12), delta_f=powers(-3, 12),
+    thermal_var=st.one_of(st.just(0.0), powers(-30, -5)),
+    rate_off=st.one_of(st.just(0.0), powers(-300, 20)), gap=powers(-300, 20),
+)
+def test_gaussian_ber_is_unchanged_on_two_sided_links(rate_off, gap, **fields):
+    try:
+        _, i_on, i_off, s_on, s_off = decision_point(LinkParams(**fields), rate_off + gap, rate_off)
+    except ParameterError:
+        assume(False)
+    assume(s_off > 0.0 or s_on == 0.0)
+    expected = two_sided_ber(i_on, i_off, s_on, s_off)
+    assert np.float64(gaussian_ber(i_on, i_off, s_on, s_off)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sigma_on", [1.0, 0.25, np.array([1.0, 3.0])])
+def test_a_one_sided_link_errs_only_on_its_on_level(sigma_on):
+    # the threshold sits on the noise-free i_off, so P(1|0) = 0 and the
+    # error is half the on level's Phi(-Q)
+    ber = gaussian_ber(1.0, 0.0, sigma_on, 0.0)
+    q = 1.0 / np.asarray(sigma_on)
+    assert np.array_equal(ber, 0.25 * np.vectorize(math.erfc)(q / math.sqrt(2.0)))

@@ -45,6 +45,7 @@ EXIT_CODES = [0] * 14 + [2, 1]
 KEPT = {
     "coherent_algebra.MultiModeState.single": "acceptance criteria 3 and 4",
     "coherent_algebra.quasi_bell_reduced_eigenvalues": "acceptance criterion 7",
+    "coherent_algebra.lossy_shared_state": "acceptance criterion 6",
     "detection.srm_error": "acceptance criteria 1 and 4",
     "detection.helstrom_mixed_pair": "acceptance criteria 1, 3 and 5",
     "detection.DiscriminationProblem.__post_init__": "acceptance criteria 1, 3 and 5",

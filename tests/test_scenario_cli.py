@@ -1,6 +1,7 @@
 import codecs
 import dataclasses
 import io
+import math
 import re
 import shlex
 import threading
@@ -27,6 +28,20 @@ from y00sim.scenario import (
     sweep,
 )
 from y00sim.y00_cipher import ConstellationSpec
+
+
+def log_tail_bound(k: int, n: int, p: float) -> float:
+    """log of the Chernoff bound exp(-n KL(k/n || p)) on seeing k of n
+    Bernoulli(p) trials, or a count further from n p."""
+    x = k / n
+    if x == p:
+        return 0.0
+    if (p == 0.0 and x > 0.0) or (p == 1.0 and x < 1.0):
+        return -math.inf
+    kl = x * math.log(x / p) if x > 0.0 else 0.0
+    if x < 1.0:
+        kl += (1.0 - x) * math.log((1.0 - x) / (1.0 - p))
+    return -n * kl
 
 
 def small_config(**kwargs) -> ScenarioConfig:
@@ -165,6 +180,25 @@ class TestRunScenario:
         spread = 3 * max(report.bob_ber_stderr, 1e-6)
         assert abs(report.bob_ber_montecarlo - report.bob_ber_analytic) < spread
 
+    def test_one_sided_link_analytic_errors_match_montecarlo(self, tmp_path):
+        # the off level's noise underflows to 0 and the on level's does not:
+        # P(1|0) = 0, so Bob errs at Phi(-Q) / 2 and a block at Phi(-Q)^2 / 2,
+        # here with Q about 0
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(default_config().to_text())
+        out = tmp_path / "report.txt"
+        settings = ["M=1", "G_p=1", "N=0", "I_th_var=0", "B=1e-3",
+                    "n_mean=1.3141473626117096e-283"]
+        argv = ["run", str(config_path), "--out", str(out)]
+        assert cli_main(argv + [a for kv in settings for a in ("--set", kv)]) == 0
+        fields = dict(line.split("=", 1) for line in out.read_text().splitlines() if "=" in line)
+        n = int(fields["trials"])
+        for name, count, expected in [("bob_ber", "bob_error_count", 0.25),
+                                      ("block_error", "block_error_count", 0.125)]:
+            analytic = float(fields[f"{name}_analytic"])
+            assert analytic == pytest.approx(expected, abs=1e-12)
+            assert log_tail_bound(int(fields[count]), n, analytic) >= math.log(1e-9)
+
     def test_coding_off_leaves_block_fields_empty(self):
         report = run_scenario(small_config(coding=False))
         assert report.block_error_analytic is None
@@ -229,11 +263,12 @@ def test_link_tables_evaluate_the_noise_budget_once(monkeypatch):
 
 
 def count_eigensolves(monkeypatch, n: int) -> list:
-    """Record every np.linalg.eigh/eigvalsh call on an n x n matrix."""
+    """Record every np.linalg.eigh/eigvalsh call on an n x n matrix or a
+    stack of them."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            if np.shape(a) == (n, n):
+            if np.shape(a)[-2:] == (n, n):
                 calls.append(_name)
             return _original(a, *args, **kwargs)
 
@@ -329,11 +364,12 @@ def test_only_run_forms_the_gram_root(monkeypatch, command, products):
 
 def test_attacks_takes_one_probe_root(monkeypatch):
     # the 4-ket embedding depends only on the probe amplitude, so the nine
-    # eta of the sweep share one 4 x 4 eigh (each state's PSD check is an eigvalsh)
+    # eta of the sweep share one 4 x 4 eigh, and their stacked density
+    # matrices share one PSD check
     coherent_algebra._four_ket_embedding.cache_clear()
     calls = count_eigensolves(monkeypatch, 4)
     attack_suite(default_config())
-    assert calls.count("eigh") == 1
+    assert sorted(calls) == ["eigh", "eigvalsh"]
 
 
 @pytest.mark.parametrize("command", ["run", "attacks"])
