@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_algebra import inner_product
 from .detection import helstrom_pure_pair
 from .errors import ParameterError
 from .y00_cipher import ConstellationSpec
@@ -224,13 +223,17 @@ def bob_practical_vs_optimal(
     params: LinkParams, spec: ConstellationSpec
 ) -> tuple[float, float]:
     """Direct-detection BER on the first basis pair next to the quantum
-    optimum for the same pair; the practical receiver can never beat it."""
+    optimum for the same pair; the practical receiver can never beat it.
+
+    The optimum is taken for the states the link sends, coherent states of
+    amplitude sqrt(rate / B), not for the ladder's own amplitudes: n_mean
+    and alpha_max are set independently. Their squared overlap is exp(-d^2),
+    d the amplitude gap."""
     rate_off = level_photon_rate(params, spec, 0)
     rate_on = level_photon_rate(params, spec, spec.m_bases)
     practical = ber_on_off(params, rate_on, rate_off)
-    low, high = spec.basis_pair(0)
-    overlap_sq = min(abs(inner_product(low, high)) ** 2, 1.0)
-    optimal = helstrom_pure_pair(overlap_sq, 0.5)
+    gap = (math.sqrt(rate_on) - math.sqrt(rate_off)) / math.sqrt(params.bandwidth)
+    optimal = helstrom_pure_pair(math.exp(-gap * gap), 0.5)
     if practical < optimal - 1e-12:
         raise ParameterError(
             "practical BER fell below the quantum optimum; inconsistent parameters"

@@ -440,6 +440,9 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
     _, eve_state_error = srm_diagonal(np.diag(root))
     eve_cut = _eve_cuts(root, m)
     bob_cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
+    # only the draws outside a table's reach are decided one by one
+    eve_reach = kernels.decision_reach(eve_cut, m)
+    bob_reach = kernels.decision_reach(bob_cut, m)
 
     gen = config.keystream_generator()
     n = config.trials
@@ -450,10 +453,9 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
         bits = rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
         z = rng.standard_normal(hi - lo)
         u = rng.random(hi - lo)
-        high = bits ^ polarity[lo:hi]
-        level_idx = kernels.level_index(basis[lo:hi], high, m)
-        bob_errors += kernels.bob_errors(level_idx, z, bob_cut, high)
-        eve_errors += int(np.count_nonzero((u > eve_cut[level_idx]) != bits))
+        frame = basis[lo:hi], polarity[lo:hi], bits
+        bob_errors += kernels.bob_errors(*frame, z, bob_cut, bob_reach)
+        eve_errors += kernels.eve_errors(*frame, u, eve_cut, eve_reach)
 
     block_fields = {}
     if config.coding:
@@ -466,7 +468,8 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
             bits = rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
             z = rng.standard_normal((hi - lo, 3))
             block_errors += kernels.coded_errors(
-                basis[lo:hi], polarity[lo:hi], code_ids[lo:hi], bits, z, block_cuts, block_high
+                basis[lo:hi], polarity[lo:hi], code_ids[lo:hi], bits, z, block_cuts, block_high,
+                bob_reach,
             )
         block_fields = dict(
             coded_blocks=n,

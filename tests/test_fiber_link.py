@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from y00sim.fiber_link import (
     mean_photocurrent,
     noise_budget,
 )
+from y00sim.scenario import default_config
 from y00sim.y00_cipher import ConstellationSpec
 
 
@@ -230,6 +232,19 @@ class TestPracticalVsOptimal:
         assert optimal == pytest.approx(
             helstrom_pure_pair(math.exp(-(separation**2)), 0.5), rel=1e-12
         )
+
+    @pytest.mark.parametrize("alpha_max", [0.05, 1.0, 100.0, 1e4])
+    @pytest.mark.parametrize("n_mean", [1e13, 16e9])
+    def test_optimum_is_for_the_states_the_link_sends(self, alpha_max, n_mean):
+        # n_mean and alpha_max are set independently, and the link sends
+        # amplitudes sqrt(rate / B) whatever the ladder's: the first basis
+        # pair is 1/32 and 17/32 of sqrt(n_mean / B), at every alpha_max
+        config = replace(default_config(), alpha_max=alpha_max, n_mean=n_mean)
+        practical, optimal = bob_practical_vs_optimal(config.link_params(),
+                                                      config.constellation())
+        assert practical >= optimal
+        gap = math.sqrt(n_mean / config.bandwidth) / 2
+        assert optimal == pytest.approx(helstrom_pure_pair(math.exp(-gap**2), 0.5), rel=1e-12)
 
 
 # links that build but whose budget double precision cannot hold: a

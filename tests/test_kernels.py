@@ -278,15 +278,119 @@ def test_one_cut_kernels_match_the_float_decisions(link):
     # a third of the symbols on their level's cut or one ulp either side
     near = np.arange(n // 3)
     z[near] = near_cuts(cut[level_idx[near]], rng)
+    reach = kernels.decision_reach(cut, m)
     expected = float_bob_errors(level_idx, basis, polarity, bits, z, mean_i, sigma_i, thresholds)
-    assert kernels.bob_errors(level_idx, z, cut, high) == expected > 0
+    assert kernels.bob_errors(basis, polarity, bits, z, cut, reach) == expected > 0
     sent = basis[:, None] + m * pattern_array()[code_id, high].astype(np.int64)
     z3 = rng.standard_normal((n, 3))
     z3[near] = near_cuts(cut[sent[near]], rng)
     expected = float_coded_errors(basis, polarity, code_id, bits, z3, mean_i, sigma_i,
                                   thresholds, m)
     assert kernels.coded_errors(basis, polarity, code_id, bits, z3, block_cuts,
-                                block_high) == expected > 0
+                                block_high, reach) == expected > 0
+
+
+def full_bob_errors(level_idx, z, cut, high):
+    """Bob's errors with every symbol decided, the oracle for the reach
+    filter: the symbol on level_idx is decided high when z > cut[level]."""
+    return int(np.count_nonzero((z > cut[level_idx]) != high))
+
+
+def full_eve_errors(level_idx, u, cut, bits):
+    """Eve's errors with every guess made: 1 when u > cut[level]."""
+    return int(np.count_nonzero((u > cut[level_idx]) != bits))
+
+
+def full_coded_errors(basis, polarity, code_id, bits, z, block_cuts, block_high):
+    """Block errors with every symbol of every block decided."""
+    row = basis.astype(np.intp) * 6 + code_id * 2 + (bits ^ polarity)
+    wrong = (z > block_cuts[row]) != block_high[row]
+    return int(np.count_nonzero(wrong.sum(axis=1) >= 2))
+
+
+def probe_draws(cuts, reach, rng):
+    """Draws of any kind a cut table meets: normal, uniform on [0, 1), and
+    on or one ulp either side of the symbol's own cut, a bound of
+    ``reach``, 0 or 1."""
+    top, floor = reach
+    marks = np.where(rng.random(cuts.shape) < 0.5, cuts,
+                     np.array([top, floor, 0.0, 1.0])[rng.integers(0, 4, cuts.shape)])
+    return np.choose(rng.integers(0, 3, cuts.shape),
+                     [rng.standard_normal(cuts.shape), rng.random(cuts.shape),
+                      near_cuts(marks, rng)])
+
+
+def ladder_eve_cuts(m, alpha_max):
+    spec = ConstellationSpec.intensity_ladder(m, alpha_max)
+    return scenario._eve_cuts(orthonormal_embedding(spec.ensemble()), m)
+
+
+def nan_level(m, high):
+    """The default link's cuts with one level's threshold on its noise-free
+    mean, so that its cut is NaN: the first low level, or the last high one."""
+    _, mean_i, sigma_i, thr = link_levels(dict(m_bases=m))
+    level = 2 * m - 1 if high else 0
+    mean_i, sigma_i = mean_i.copy(), sigma_i.copy()
+    mean_i[level], sigma_i[level] = thr[level], 0.0
+    return kernels.decision_cuts(mean_i, sigma_i, thr)
+
+
+def eve_cuts_at_the_ends(m):
+    """An Eve cut table with cuts of exactly 1 on low levels and 0 on high
+    ones, beside a ladder's: a low level whose guess is always 0 and a high
+    one whose guess is 1 on every u but 0."""
+    cut = ladder_eve_cuts(m, 10.0)
+    cut[[0, m - 1]], cut[[m, 2 * m - 1]] = 1.0, 0.0
+    return cut
+
+
+# (M, cut table): Bob's cuts on every link, Eve's on ladders from one
+# level to strongly overlapping ones, NaN cuts, and Eve's cuts at 0 and 1
+CUT_TABLES = {
+    **{f"bob {name}": lambda link=link: (link["m_bases"], kernels.decision_cuts(
+        *link_levels(link)[1:])) for name, link in LINKS.items()},
+    **{f"eve M={m} alpha={a}": lambda m=m, a=a: (m, ladder_eve_cuts(m, a))
+       for m, a in [(1, 10.0), (4, 1.0), (16, 100.0), (16, 1.0), (64, 30.0)]},
+    "nan low": lambda: (16, nan_level(16, high=False)),
+    "nan high": lambda: (16, nan_level(16, high=True)),
+    "eve 0 and 1": lambda: (4, eve_cuts_at_the_ends(4)),
+}
+
+
+@pytest.mark.parametrize("gather", ["indices", "every row"])
+@pytest.mark.parametrize("table", sorted(CUT_TABLES))
+def test_reach_filtered_kernels_match_the_full_decisions(monkeypatch, table, gather):
+    # the kernels decide the rows outside the reach by their indices, or
+    # every row when many are; force each way
+    monkeypatch.setattr(kernels, "_GATHER_SHARE", 1 if gather == "indices" else 10**9)
+    m, cut = CUT_TABLES[table]()
+    reach = kernels.decision_reach(cut, m)
+    block_cuts, block_high = kernels.block_tables(cut, pattern_array())
+    rng = np.random.default_rng(len(table))
+    n = 40_000
+    basis = rng.integers(0, m, n)
+    polarity, bits = rng.integers(0, 2, (2, n), dtype=np.uint8)
+    code_id = rng.integers(0, 3, n)
+    high = bits ^ polarity
+    level_idx = kernels.level_index(basis, high, m)
+    draws = probe_draws(cut[level_idx], reach, rng)
+    assert kernels.bob_errors(basis, polarity, bits, draws, cut, reach) == full_bob_errors(
+        level_idx, draws, cut, high)
+    assert kernels.eve_errors(basis, polarity, bits, draws, cut, reach) == full_eve_errors(
+        level_idx, draws, cut, bits)
+    sent = kernels.level_index(basis[:, None], pattern_array()[code_id, high], m)
+    z3 = probe_draws(cut[sent], reach, rng)
+    assert kernels.coded_errors(
+        basis, polarity, code_id, bits, z3, block_cuts, block_high, reach
+    ) == full_coded_errors(basis, polarity, code_id, bits, z3, block_cuts, block_high)
+
+
+def test_nan_cuts_set_the_reach():
+    # a NaN low cut is never passed, so it leaves the floor; a NaN high cut
+    # fails every draw, so every draw is checked
+    assert kernels.decision_reach(np.array([np.nan, 1.0, -1.0, -2.0]), 2) == (-1.0, 1.0)
+    assert kernels.decision_reach(np.array([3.0, 1.0, -1.0, np.nan]), 2) == (np.inf, 1.0)
+    assert kernels.decision_reach(np.array([np.nan, np.nan]), 1) == (np.inf, np.inf)
 
 
 class TestLfsrSemantics:
@@ -382,7 +486,7 @@ def test_lfsr_fill_matches_oracle_on_any_register(register, n):
 
 
 @pytest.mark.parametrize("m", [43, 256, 1024])
-def test_narrow_draw_lanes_cannot_wrap_an_index(m):
+def test_narrow_draw_lanes_cannot_wrap_an_index(monkeypatch, m):
     # keyed draws come as uint8 up to M=256 and uint16 up to M=1024; from
     # M=43 on a uint8 basis * 6 would wrap, and basis + M * high from M=128
     _, mean_i, sigma_i, thr = link_levels(dict(m_bases=m))
@@ -399,15 +503,22 @@ def test_narrow_draw_lanes_cannot_wrap_an_index(m):
     z = near_cuts(cut[level_idx], rng)
     sent = basis[:, None] + m * pattern_array()[code_id, high].astype(np.int64)
     z3 = near_cuts(cut[sent], rng)
-    bob = kernels.bob_errors(level_idx, z, cut, high)
-    coded = kernels.coded_errors(basis, polarity, code_id, bits, z3, block_cuts, block_high)
+    reach = kernels.decision_reach(cut, m)
+    bob = kernels.bob_errors(basis, polarity, bits, z, cut, reach)
+    coded = kernels.coded_errors(basis, polarity, code_id, bits, z3, block_cuts, block_high,
+                                 reach)
+    eve = kernels.eve_errors(basis, polarity, bits, z, cut, reach)
     assert bob > 0 and coded > 0
     for lane in [np.uint8, np.uint16] if m <= 256 else [np.uint16]:
-        narrow_idx = kernels.level_index(basis.astype(lane), high, m)
-        assert np.array_equal(narrow_idx, level_idx)
-        assert kernels.bob_errors(narrow_idx, z, cut, high) == bob
-        assert kernels.coded_errors(basis.astype(lane), polarity, code_id.astype(lane), bits,
-                                    z3, block_cuts, block_high) == coded
+        narrow = basis.astype(lane)
+        assert np.array_equal(kernels.level_index(narrow, high, m), level_idx)
+        # decide the rows by their indices, and then every row
+        for share in (1, 10**9):
+            monkeypatch.setattr(kernels, "_GATHER_SHARE", share)
+            assert kernels.bob_errors(narrow, polarity, bits, z, cut, reach) == bob
+            assert kernels.eve_errors(narrow, polarity, bits, z, cut, reach) == eve
+            assert kernels.coded_errors(narrow, polarity, code_id.astype(lane), bits, z3,
+                                        block_cuts, block_high, reach) == coded
 
 
 def test_kernel_names_the_benchmark_tracer_reads_exist():
@@ -417,4 +528,4 @@ def test_kernel_names_the_benchmark_tracer_reads_exist():
         assert callable(getattr(kernels, name, None)), name
     first = {name: next(iter(inspect.signature(getattr(kernels, name)).parameters))
              for name in ("bob_errors", "coded_errors")}
-    assert first == {"bob_errors": "level_idx", "coded_errors": "basis"}
+    assert first == {"bob_errors": "basis", "coded_errors": "basis"}

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from y00sim import coherent_algebra, fiber_link, scenario
+from y00sim import coherent_algebra, fiber_link, kernels, scenario
 from y00sim.cli import main as cli_main
 from y00sim.detection import srm_error
 from y00sim.errors import ConfigError, ParameterError
@@ -282,6 +282,49 @@ def test_one_gram_eigensolve_per_command(monkeypatch, command):
     calls = count_eigensolves(monkeypatch, 2 * config.m_bases)
     command(config)
     assert calls == ["eigh"]
+
+
+def count_checked_rows(monkeypatch, check_all=False) -> list:
+    """Record (rows handed, rows decided) of every Monte Carlo kernel call,
+    in call order: per chunk Bob's symbols and then Eve's, and then the
+    blocks' chunks. With ``check_all`` every row is decided, as the
+    kernels did before they filtered by reach."""
+    calls = []
+
+    def counted(draws, reach, _original=kernels._checked_rows):
+        rows = np.arange(len(draws)) if check_all else _original(draws, reach)
+        calls.append((len(draws), np.arange(len(draws))[rows].size))
+        return rows
+
+    monkeypatch.setattr(kernels, "_checked_rows", counted)
+    return calls
+
+
+def test_monte_carlo_decides_few_trials_past_the_reach(monkeypatch):
+    config = default_config()
+    calls = count_checked_rows(monkeypatch)
+    run_scenario(config)
+    chunks = -(-config.trials // CHUNK_SIZE)
+    assert len(calls) == 3 * chunks
+    assert sum(handed for handed, _ in calls) == 3 * config.trials
+    # about 0.3% of Bob's draws and 1e-5 of Eve's and of the blocks'
+    assert all(decided < 0.01 * handed for handed, decided in calls)
+
+
+@pytest.mark.parametrize("alpha_max", [100.0, 1.0])
+def test_the_reach_filter_keeps_every_report_byte(monkeypatch, alpha_max):
+    config = replace(default_config(), alpha_max=alpha_max)
+    filtered = count_checked_rows(monkeypatch)
+    report = run_scenario(config).to_text(config)
+    monkeypatch.undo()
+    count_checked_rows(monkeypatch, check_all=True)
+    assert run_scenario(config).to_text(config) == report
+    if alpha_max == 1.0:
+        # Eve's cuts crowd 1/2 on an overlapping ladder, so nearly every
+        # guess is made one by one (Bob's cuts do not depend on alpha_max)
+        chunks = -(-config.trials // CHUNK_SIZE)
+        eve_decided = sum(decided for _, decided in filtered[1:2 * chunks:2])
+        assert eve_decided > 0.9 * config.trials
 
 
 @pytest.mark.parametrize("command, kind", [
