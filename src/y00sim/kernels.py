@@ -22,7 +22,6 @@ _LANE_JUMPS = 6       # a super-block is 2^6 words: A^4096 is jumps[6]
 _SUPER_BLOCK = _BLOCK << _LANE_JUMPS  # output bits per lane-table gather
 _GRID_JUMPS = 6       # a grid row spans 2^6 super-blocks: A^(4096 * 64) is jumps[12]
 _JUMP_LEVELS = 32     # jumps A^(64 * 2^k) for k < 32: fills of up to 2^38 bits
-_GATHER_SHARE = 8     # past 1/8 of the rows, a Monte Carlo kernel decides them all
 
 
 def _tables(columns: np.ndarray, bits: int = 8) -> np.ndarray:
@@ -149,16 +148,13 @@ def _checked_rows(draws, reach):
     """The rows that can decide other than their levels' halves: symbols
     whose draw lies outside ``reach``, or 3-symbol blocks (rows of 3 draws)
     with at least 2 such draws, as a block fails only when 2 of its symbols
-    err. Past 1/8 of the rows it is every row, a slice: near BER 1/2,
-    gathering them all took 1.4x as long as deciding them all."""
+    err."""
     top, floor = reach
     outside = draws <= top
     outside |= draws > floor
     if outside.ndim == 2:
         outside = outside.view(np.uint8)
         outside = outside[:, 0] + outside[:, 1] + outside[:, 2] >= 2
-    if np.count_nonzero(outside) > outside.size // _GATHER_SHARE:
-        return slice(None)
     return np.flatnonzero(outside)
 
 

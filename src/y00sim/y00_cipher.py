@@ -377,12 +377,6 @@ class ConstellationSpec:
             return np.exp(-((d * self.alpha_max / two_m) ** 2) / 2)
         return np.exp(-2.0 * self.alpha_max**2 * np.sin(np.pi * d / (2 * two_m)) ** 2)
 
-    def basis_pair(self, basis_index: int) -> tuple[MultiModeState, MultiModeState]:
-        """(low, high) states of basis ``basis_index`` in 0..M-1."""
-        if not 0 <= basis_index < self.m_bases:
-            raise ParameterError(f"basis index {basis_index} out of range")
-        return self.levels[basis_index], self.levels[basis_index + self.m_bases]
-
     def ensemble(self) -> StateEnsemble:
         return StateEnsemble.uniform(self.levels)
 

@@ -421,7 +421,7 @@ class TestEncodeDecode:
 
     def test_midpoint_resolves_to_lower_level(self):
         spec = ConstellationSpec.intensity_ladder(2, 4.0)
-        low, high = spec.basis_pair(0)
+        low, high = spec.levels[0], spec.levels[2]
         midpoint = (low.modes[0].real + high.modes[0].real) / 2
         assert bob_decode(midpoint, (0, 0), spec) == 0  # lower level carries bit 0
         assert bob_decode(midpoint, (0, 1), spec) == 1  # polarity flips the map
@@ -430,7 +430,7 @@ class TestEncodeDecode:
         # compare the empirical flip rate against the link-model BER with
         # matching signal-independent noise
         spec = ConstellationSpec.intensity_ladder(1, 2.0)
-        low, high = (s.modes[0].real for s in spec.basis_pair(0))
+        low, high = (s.modes[0].real for s in spec.levels)
         sigma = 0.4
         n = 100_000
         amplitudes = np.where(rng.random(n) < 0.5, low, high)
@@ -591,10 +591,11 @@ class TestConstellationSpec:
         assert peak < 32 * 1024
 
     def test_basis_pairs_split_by_m(self):
+        # basis 2 of 4 decides between levels 2 and 2 + M
         spec = ConstellationSpec.intensity_ladder(4, 4.0)
-        low, high = spec.basis_pair(2)
-        assert low == spec.levels[2]
-        assert high == spec.levels[6]
+        low, high = (spec.levels[i].modes[0].real for i in (2, 6))
+        assert bob_decode(low, (2, 0), spec) == 0
+        assert bob_decode(high, (2, 0), spec) == 1
 
     def test_rejects_nonpositive_peak(self):
         with pytest.raises(ParameterError):
@@ -676,7 +677,6 @@ SPEC = ConstellationSpec.intensity_ladder(2, 4.0)
          ParameterError, "2-D array of numbers"),
         (lambda: ConstellationSpec("intensity_ladder", 2, 1.0, [[1], ["x"], [4], [5]]),
          ParameterError, "2-D array of numbers"),
-        (lambda: SPEC.basis_pair(2), ParameterError, "basis index 2 out of range"),
         (lambda: draw_uniform(KeystreamGenerator(SEED), 0, 1), ParameterError, "bound >= 1"),
         (lambda: key_expansion_session(SEED, 0, np.random.default_rng(0)), ParameterError,
          "at least one round"),

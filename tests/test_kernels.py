@@ -357,12 +357,8 @@ CUT_TABLES = {
 }
 
 
-@pytest.mark.parametrize("gather", ["indices", "every row"])
 @pytest.mark.parametrize("table", sorted(CUT_TABLES))
-def test_reach_filtered_kernels_match_the_full_decisions(monkeypatch, table, gather):
-    # the kernels decide the rows outside the reach by their indices, or
-    # every row when many are; force each way
-    monkeypatch.setattr(kernels, "_GATHER_SHARE", 1 if gather == "indices" else 10**9)
+def test_reach_filtered_kernels_match_the_full_decisions(table):
     m, cut = CUT_TABLES[table]()
     reach = kernels.decision_reach(cut, m)
     block_cuts, block_high = kernels.block_tables(cut, pattern_array())
@@ -486,7 +482,7 @@ def test_lfsr_fill_matches_oracle_on_any_register(register, n):
 
 
 @pytest.mark.parametrize("m", [43, 256, 1024])
-def test_narrow_draw_lanes_cannot_wrap_an_index(monkeypatch, m):
+def test_narrow_draw_lanes_cannot_wrap_an_index(m):
     # keyed draws come as uint8 up to M=256 and uint16 up to M=1024; from
     # M=43 on a uint8 basis * 6 would wrap, and basis + M * high from M=128
     _, mean_i, sigma_i, thr = link_levels(dict(m_bases=m))
@@ -512,13 +508,10 @@ def test_narrow_draw_lanes_cannot_wrap_an_index(monkeypatch, m):
     for lane in [np.uint8, np.uint16] if m <= 256 else [np.uint16]:
         narrow = basis.astype(lane)
         assert np.array_equal(kernels.level_index(narrow, high, m), level_idx)
-        # decide the rows by their indices, and then every row
-        for share in (1, 10**9):
-            monkeypatch.setattr(kernels, "_GATHER_SHARE", share)
-            assert kernels.bob_errors(narrow, polarity, bits, z, cut, reach) == bob
-            assert kernels.eve_errors(narrow, polarity, bits, z, cut, reach) == eve
-            assert kernels.coded_errors(narrow, polarity, code_id.astype(lane), bits, z3,
-                                        block_cuts, block_high, reach) == coded
+        assert kernels.bob_errors(narrow, polarity, bits, z, cut, reach) == bob
+        assert kernels.eve_errors(narrow, polarity, bits, z, cut, reach) == eve
+        assert kernels.coded_errors(narrow, polarity, code_id.astype(lane), bits, z3,
+                                    block_cuts, block_high, reach) == coded
 
 
 def test_kernel_names_the_benchmark_tracer_reads_exist():

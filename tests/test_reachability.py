@@ -58,8 +58,6 @@ KEPT = {
     "fiber_link.ber_on_off": "acceptance criterion 9",
     "fiber_link.bob_practical_vs_optimal": "acceptance criterion 9",
     "scenario.ScenarioConfig.link_params": "acceptance criterion 9",
-    # criterion 9 takes its optimum from the link's rates, not from these states
-    "y00_cipher.ConstellationSpec.basis_pair": "the keyed-decision tests; a deletion candidate",
     "kernels.backend_name": "the benchmark harness reports it",
     "y00_cipher.bob_decode": "Bob's keyed decision in the documented session",
     "y00_cipher.key_expansion_session": "the documented key-expansion session",
