@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -336,9 +335,8 @@ def lossy_shared_state(alpha: float, eta: float) -> LossySharedState:
     return lossy_shared_states(alpha, (eta,))[0]
 
 
-@lru_cache(maxsize=1)  # a probe's states at every eta share one alpha
 def _four_ket_embedding(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only parts of the shared states at probe amplitude ``a`` that do
+    """The parts of the shared states at probe amplitude ``a`` that do
     not depend on eta, in the embedding of ``LossySharedState``: with
     u = |a, -a> and w = |-a, a>, the ket-ket terms uu^dagger + ww^dagger, the
     cross terms uw^dagger + wu^dagger, and the reference state
@@ -351,14 +349,11 @@ def _four_ket_embedding(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ]
     v = orthonormal_embedding(StateEnsemble.uniform(kets))
     u_vec, w_vec = v[:, 1], v[:, 2]
-    parts = (
+    return (
         np.outer(u_vec, u_vec.conj()) + np.outer(w_vec, w_vec.conj()),
         np.outer(u_vec, w_vec.conj()) + np.outer(w_vec, u_vec.conj()),
         (u_vec - w_vec) / math.sqrt(2.0 * (1.0 - math.exp(-2.0 * a * a) ** 2)),
     )
-    for part in parts:
-        part.flags.writeable = False
-    return parts
 
 
 class EntangledFraction(NamedTuple):

@@ -342,8 +342,6 @@ def _cell(value) -> str:
     """A report or CSV value: na for None, integers exact, floats via _fmt."""
     if value is None:
         return "na"
-    if isinstance(value, bool):
-        raise ParameterError("boolean cells are not part of the report formats")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return _fmt(float(value))

@@ -288,65 +288,60 @@ class BasisAssignment:
 _ALPHA_MAX_CEILING = 1e8
 
 
-def _check_alpha_max(alpha_max: float) -> None:
-    if not 0 < alpha_max <= _ALPHA_MAX_CEILING:
-        raise ParameterError(
-            f"peak amplitude must lie in (0, {_ALPHA_MAX_CEILING:g}], got {alpha_max}"
-        )
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConstellationSpec:
-    """The 2M-level signal set and its pairing into M bases: ``amplitudes``
-    holds one row of mode amplitudes per level, as a read-only complex
-    (2M, modes) array. Frozen: a config builds its spec once and every
-    reader shares it."""
+    """The 2M-level signal set and its pairing into M bases, fixed by its
+    kind, M and peak amplitude. Frozen: a config builds its spec once and
+    every reader shares it."""
 
     kind: str
     m_bases: int
     alpha_max: float
-    amplitudes: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("intensity_ladder", "phase_ladder"):
             raise ParameterError(f"unknown constellation kind {self.kind!r}")
         if self.m_bases < 1:
             raise ParameterError("need at least one basis")
-        try:
-            amps = np.array(self.amplitudes, dtype=complex)
-        except (TypeError, ValueError) as exc:  # ragged rows or a non-number
-            raise ParameterError(f"mode amplitudes must be a 2-D array of numbers: {exc}") from exc
-        if amps.ndim != 2 or len(amps) != 2 * self.m_bases or not amps.shape[1]:
-            raise ParameterError("a constellation has exactly 2M levels of at least one mode")
-        if not np.isfinite(amps).all():
-            raise ParameterError("mode amplitudes must be finite")
-        if self.kind == "intensity_ladder" and (np.diff(amps[:, 0].real) <= 0).any():
+        if not 0 < self.alpha_max <= _ALPHA_MAX_CEILING:
+            raise ParameterError(
+                f"peak amplitude must lie in (0, {_ALPHA_MAX_CEILING:g}], got {self.alpha_max}"
+            )
+        if self.kind == "intensity_ladder" and (np.diff(self.amplitudes[:, 0].real) <= 0).any():
             raise ParameterError("intensity levels must be strictly increasing")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def intensity_ladder(cls, m_bases: int, alpha_max: float) -> "ConstellationSpec":
-        """Levels alpha_i = alpha_max * i / (2M), i = 1 .. 2M."""
-        _check_alpha_max(alpha_max)
-        levels = np.arange(1, 2 * m_bases + 1, dtype=float)
-        levels *= alpha_max
-        levels /= 2 * m_bases
-        return cls("intensity_ladder", m_bases, float(alpha_max), levels[:, None])
+        return cls("intensity_ladder", m_bases, float(alpha_max))
 
     @classmethod
     def phase_ladder(cls, m_bases: int, alpha: float) -> "ConstellationSpec":
-        """Levels |e^{-i phi/2} alpha/sqrt(2)> x |e^{+i phi/2} alpha/sqrt(2)> with
-        phi = 2 pi k / (2M), k = 0 .. 2M-1: each carries total energy |alpha|^2,
-        and the antipodal pairs (k, k+M) form the M bases."""
-        _check_alpha_max(alpha)
-        base = complex(alpha) / math.sqrt(2.0)
-        levels = []
-        for k in range(2 * m_bases):
-            phi = 2.0 * math.pi * k / (2 * m_bases)
-            rot = complex(math.cos(phi / 2.0), math.sin(phi / 2.0))
-            levels.append((base / rot, base * rot))
-        return cls("phase_ladder", m_bases, float(alpha), levels)
+        return cls("phase_ladder", m_bases, float(alpha))
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """One row of mode amplitudes per level, as a read-only complex
+        (2M, modes) array. Intensity ladder: alpha_i = alpha_max * i / (2M),
+        i = 1 .. 2M. Phase ladder: |e^{-i phi/2} alpha/sqrt(2)> x
+        |e^{+i phi/2} alpha/sqrt(2)> with phi = 2 pi k / (2M), k = 0 .. 2M-1:
+        each carries total energy |alpha|^2, and the antipodal pairs
+        (k, k+M) form the M bases."""
+        two_m = 2 * self.m_bases
+        if self.kind == "intensity_ladder":
+            levels = np.arange(1, two_m + 1, dtype=float)
+            levels *= self.alpha_max
+            levels /= two_m
+            amps = np.array(levels[:, None], dtype=complex)
+        else:
+            base = complex(self.alpha_max) / math.sqrt(2.0)
+            rows = []
+            for k in range(two_m):
+                phi = 2.0 * math.pi * k / two_m
+                rot = complex(math.cos(phi / 2.0), math.sin(phi / 2.0))
+                rows.append((base / rot, base * rot))
+            amps = np.array(rows)
+        amps.flags.writeable = False
+        return amps
 
     def level_states(self, count: int) -> tuple[MultiModeState, ...]:
         """The states of the first ``count`` levels."""

@@ -551,16 +551,25 @@ class TestConstellationSpec:
             assert row == [base / rot, base * rot], k
 
     def test_amplitudes_are_read_only(self):
-        mine = np.array([[1.0], [2.0], [3.0], [4.0]])
-        spec = ConstellationSpec("intensity_ladder", 2, 4.0, mine)
-        mine[0, 0] = 9.0  # the spec keeps its own copy
-        assert spec.level_amplitudes().tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert mine.flags.writeable
-        for view in (spec.amplitudes, spec.level_amplitudes()):
+        spec = ConstellationSpec.intensity_ladder(2, 4.0)
+        phase = ConstellationSpec.phase_ladder(2, 4.0)
+        for view in (spec.amplitudes, spec.level_amplitudes(), phase.amplitudes):
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view[0] = 0.0
         assert np.shares_memory(spec.level_amplitudes(), spec.amplitudes)
+        assert spec.amplitudes is spec.amplitudes  # derived once per spec
+
+    @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
+    @pytest.mark.parametrize("m, alpha", [(1, 3.0), (16, 100.0), (65, 30.0), (320, 1e8)])
+    def test_three_numbers_make_the_named_ladder(self, kind, m, alpha):
+        # a spec is its kind, M and peak amplitude: built directly it equals
+        # the named constructor's, hashes alike and holds the same bits
+        direct = ConstellationSpec(kind, m, alpha)
+        named = getattr(ConstellationSpec, kind)(m, alpha)
+        assert direct == named and hash(direct) == hash(named)
+        assert direct.amplitudes.tobytes() == named.amplitudes.tobytes()
+        assert direct != ConstellationSpec(kind, m, alpha / 2)
 
     @pytest.mark.parametrize("kind", ["intensity_ladder", "phase_ladder"])
     def test_levels_are_built_when_first_read(self, kind, monkeypatch):
@@ -646,7 +655,6 @@ def test_simulated_srm_eve_is_blind_under_osk(rng):
 
 
 SEED = SeedKey.from_hex("ACE1F00D")
-SPEC = ConstellationSpec.intensity_ladder(2, 4.0)
 
 
 @pytest.mark.parametrize(
@@ -659,24 +667,12 @@ SPEC = ConstellationSpec.intensity_ladder(2, 4.0)
         (lambda: KeystreamGenerator(SEED, kind="x"), ParameterError, "unknown keystream kind"),
         (lambda: KeystreamGenerator(SEED).peek(-1), ParameterError, "negative number of bits"),
         (lambda: BasisAssignment("x"), ParameterError, "unknown assignment mode"),
-        (lambda: ConstellationSpec("x", 2, 4.0, SPEC.amplitudes), ParameterError,
-         "unknown constellation kind"),
-        (lambda: ConstellationSpec("intensity_ladder", 0, 4.0, np.empty((0, 1))), ParameterError,
+        (lambda: ConstellationSpec("x", 2, 4.0), ParameterError, "unknown constellation kind"),
+        (lambda: ConstellationSpec("intensity_ladder", 0, 4.0), ParameterError,
          "at least one basis"),
-        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, SPEC.amplitudes[:3]),
-         ParameterError, "exactly 2M levels"),
-        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, SPEC.amplitudes[:, 0]),
-         ParameterError, "exactly 2M levels"),
-        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, np.empty((4, 0))),
-         ParameterError, "exactly 2M levels"),
-        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, [[1], [2], [np.nan], [4]]),
-         ParameterError, "must be finite"),
-        (lambda: ConstellationSpec("intensity_ladder", 2, 4.0, [[1], [2], [2], [4]]),
-         ParameterError, "strictly increasing"),
-        (lambda: ConstellationSpec("intensity_ladder", 2, 1.0, [[1], [2, 3], [4], [5]]),
-         ParameterError, "2-D array of numbers"),
-        (lambda: ConstellationSpec("intensity_ladder", 2, 1.0, [[1], ["x"], [4], [5]]),
-         ParameterError, "2-D array of numbers"),
+        (lambda: ConstellationSpec("phase_ladder", 2, 2e8), ParameterError, "peak amplitude"),
+        (lambda: ConstellationSpec("intensity_ladder", 2, 5e-324), ParameterError,
+         "strictly increasing"),
         (lambda: draw_uniform(KeystreamGenerator(SEED), 0, 1), ParameterError, "bound >= 1"),
         (lambda: key_expansion_session(SEED, 0, np.random.default_rng(0)), ParameterError,
          "at least one round"),

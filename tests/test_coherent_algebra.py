@@ -493,7 +493,6 @@ STACKED_PROBES = [3.125, *np.linspace(0.045, 1.2, 12), *np.geomspace(1.1e-3, 1e-
 
 @pytest.mark.parametrize("alpha", STACKED_PROBES)
 def test_stacked_states_equal_per_eta_states_bit_for_bit(alpha):
-    coherent_algebra._four_ket_embedding.cache_clear()
     states = lossy_shared_states(alpha, _ETA_SWEEP)
     assert [state.eta for state in states] == list(_ETA_SWEEP)
     for state, eta in zip(states, _ETA_SWEEP):

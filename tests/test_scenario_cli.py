@@ -357,7 +357,6 @@ def test_large_ladder_attacks_build_no_per_level_states(monkeypatch, kind):
     monkeypatch.setattr(coherent_algebra.MultiModeState, "__post_init__", counted)
     counts = []
     for m in (65, 320):
-        coherent_algebra._four_ket_embedding.cache_clear()
         built.clear()
         attack_suite(replace(default_config(), kind=kind, m_bases=m))
         counts.append(len(built))
@@ -406,10 +405,9 @@ def test_only_run_forms_the_gram_root(monkeypatch, command, products):
 
 
 def test_attacks_takes_one_probe_root(monkeypatch):
-    # the 4-ket embedding depends only on the probe amplitude, so the nine
-    # eta of the sweep share one 4 x 4 eigh, and their stacked density
+    # the nine eta of the sweep are built in one call at one probe
+    # amplitude, so they share one 4 x 4 eigh, and their stacked density
     # matrices share one PSD check
-    coherent_algebra._four_ket_embedding.cache_clear()
     calls = count_eigensolves(monkeypatch, 4)
     attack_suite(default_config())
     assert sorted(calls) == ["eigh", "eigvalsh"]
