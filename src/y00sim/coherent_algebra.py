@@ -117,11 +117,8 @@ def gram_matrix(ensemble: StateEnsemble) -> np.ndarray:
     g = np.conj(amps) @ amps.T
     g += (norms[:, None] + norms[None, :]) / -2
     np.exp(g, out=g)
-    # with every imaginary part +0.0 the exponent is exactly symmetric, and
-    # so is g: averaging it with its adjoint would change no bit
-    if amps.imag.any() or np.signbit(amps.imag).any():
-        g += g.conj().T
-        g /= 2
+    g += g.conj().T
+    g /= 2
     np.fill_diagonal(g, 1.0)
     return g
 

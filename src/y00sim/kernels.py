@@ -158,21 +158,14 @@ def _checked_rows(draws, reach):
     return np.flatnonzero(outside)
 
 
-def _decisions(basis, polarity, bits, draws, cut, reach):
-    """(rows, high, passed) of the symbols ``_checked_rows`` picks: whether
-    each was sent on its basis's high level, and whether its draw exceeds
-    that level's cut."""
-    rows = _checked_rows(draws, reach)
-    high = bits[rows] ^ polarity[rows]
-    return rows, high, draws[rows] > cut[level_index(basis[rows], high, cut.size // 2)]
-
-
 def bob_errors(basis, polarity, bits, z, cut, reach):
     """Bit errors of Bob's thresholded direct-detection decisions: the
     symbol sent on level basis + M * (bit ^ polarity) with noise ``z`` is
     decided high when z > cut[level], and errs when that differs from the
     level's half, which no draw inside ``reach`` (``decision_reach``) does."""
-    _, high, passed = _decisions(basis, polarity, bits, z, cut, reach)
+    rows = _checked_rows(z, reach)
+    high = bits[rows] ^ polarity[rows]
+    passed = z[rows] > cut[level_index(basis[rows], high, cut.size // 2)]
     return int(np.count_nonzero(passed != high))
 
 
@@ -181,35 +174,28 @@ def eve_errors(basis, polarity, bits, u, cut, reach):
     when u > cut[level] (``scenario._eve_cuts``), and errs when that differs
     from the bit. Inside ``reach`` she guesses the level's half, bit ^
     polarity, so there she errs exactly where the polarity is 1."""
-    rows, high, passed = _decisions(basis, polarity, bits, u, cut, reach)
+    rows = _checked_rows(u, reach)
+    level = level_index(basis[rows], bits[rows] ^ polarity[rows], cut.size // 2)
     errs_inside = np.count_nonzero(polarity) - np.count_nonzero(polarity[rows])
-    return int(errs_inside + np.count_nonzero(passed != bits[rows]))
+    return int(errs_inside + np.count_nonzero((u[rows] > cut[level]) != bits[rows]))
 
 
-def block_tables(cut, patterns):
-    """The (cuts, high flags) table ``coded_errors`` reads: row
-    basis*6 + code*2 + b holds, for a block sent as ``patterns[code, b]``
-    (3 codes x 2 bits x 3 high flags) on that basis, its 3 symbols' cuts
-    and whether each is the basis's high level."""
-    m = cut.size // 2
-    high = np.broadcast_to(patterns.astype(bool), (m, 3, 2, 3)).reshape(6 * m, 3)
-    return cut[level_index(np.repeat(np.arange(m), 6)[:, None], high, m)], high
-
-
-def coded_errors(basis, polarity, code_id, bits, z, block_cuts, block_high, reach):
+def coded_errors(basis, polarity, code_id, bits, z, cut, reach, patterns):
     """Block errors of keyed 3-symbol repetition blocks through the noisy
     link: a block is in error when at least 2 of its symbols are.
 
-    Only blocks with at least 2 draws outside Bob's ``reach`` can fail. Row
-    basis*6 + code*2 + (bit ^ polarity) of ``block_tables`` (in np.intp,
-    as for level_index) holds the 3 cuts and high flags of the pattern sent;
-    the majority decoder errs exactly when 2 of the 3 hard decisions differ.
+    Only blocks with at least 2 draws outside Bob's ``reach`` can fail. Each
+    of their symbols is decided as ``bob_errors`` decides one, its high flag
+    read from row code*2 + (bit ^ polarity) of ``patterns``
+    (``overlap_coding.pattern_array``) as 6 rows of 3; the majority decoder
+    errs exactly when 2 of the 3 hard decisions differ from the flags.
     """
     blocks = _checked_rows(z, reach)
-    row = (basis[blocks].astype(np.intp) * 6 + code_id[blocks] * 2
-           + (bits[blocks] ^ polarity[blocks]))
-    # np.take gathers whole rows several times faster than fancy indexing
-    wrong = (z[blocks] > np.take(block_cuts, row, axis=0)) != np.take(block_high, row, axis=0)
+    row = code_id[blocks] * 2 + (bits[blocks] ^ polarity[blocks])
+    high = np.take(patterns.reshape(6, 3), row, axis=0)
+    # np.take and an intp basis: several times faster than z[blocks] and a mixed-dtype sum
+    level = level_index(basis[blocks].astype(np.intp)[:, None], high, cut.size // 2)
+    wrong = (np.take(z, blocks, axis=0) > np.take(cut, level)) != high
     wrong = wrong.view(np.uint8)
     return int(np.count_nonzero(wrong[:, 0] + wrong[:, 1] + wrong[:, 2] >= 2))
 

@@ -459,16 +459,14 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
     if config.coding:
         basis, polarity = draw_symbol_frames(gen, m, assignment, n)
         code_ids = _draw_code_ids(gen, n)
-        block_cuts, block_high = kernels.block_tables(bob_cut, pattern_array())
+        patterns = pattern_array()
         block_errors = 0
         for c, lo, hi in _chunk_bounds(n):
             rng = _chunk_rng(config.master_rng_seed, 1, c)
             bits = rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
             z = rng.standard_normal((hi - lo, 3))
-            block_errors += kernels.coded_errors(
-                basis[lo:hi], polarity[lo:hi], code_ids[lo:hi], bits, z, block_cuts, block_high,
-                bob_reach,
-            )
+            frame = basis[lo:hi], polarity[lo:hi], code_ids[lo:hi], bits
+            block_errors += kernels.coded_errors(*frame, z, bob_cut, bob_reach, patterns)
         block_fields = dict(
             coded_blocks=n,
             block_error_analytic=float(np.mean(list(map(

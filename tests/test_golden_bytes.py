@@ -39,8 +39,8 @@ GOLDEN = [
     ("attacks_phase_ladder_M15_alpha3",
      ["attacks", "{cfg}", "--set", "kind=phase_ladder", "--set", "M=15", "--set", "alpha_max=3"],
      "df0072c4760a6a7729f18563462814fcc749964d0309570546f13541764455f9"),
-    # 2M=128: the shared spec, the Gram's real fast path and the cached
-    # 4-ket root all run under a pin
+    # 2M=128: the largest ladder whose SRM diagonal is read off the full
+    # Gram, not the even/odd Toeplitz halves, runs under a pin
     ("attacks_M64_alpha30", ["attacks", "{cfg}", "--set", "M=64", "--set", "alpha_max=30"],
      "13cc5750949d7ea9e0fd5666b8fb5277441403cc841d8c6c242bd3e5fb18bc19"),
     ("attacks_phase_ladder_M64_alpha30",

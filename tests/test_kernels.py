@@ -31,7 +31,7 @@ def srm_outcomes(cdf, level_idx, u, chunk=4096):
     return out
 
 
-def test_srm_sample_handles_u_above_last_entry():
+def test_eve_cut_handles_u_above_last_entry():
     cdf = np.array([[0.5, 1.0 - 1e-16]])
     u = np.array([1.0 - 1e-17])
     assert srm_outcomes(cdf, np.zeros(1, dtype=np.int64), u)[0] == 1
@@ -42,8 +42,8 @@ def test_srm_sample_handles_u_above_last_entry():
     assert (u > scenario._eve_cuts(root, 1)[0]).all()
 
 
-# (M, alpha_max): the complex solver up to 2M=128 (M=16 at 100 is the
-# default config), the real one at 2M=640
+# (M, alpha_max): ladders up to 2M=128, the largest whose Monte Carlo root
+# is the Gram's (M=16 at 100 is the default config), and one of 2M=640
 @pytest.mark.parametrize(
     "m, alpha_max", [(1, 10.0), (3, 10.0), (15, 10.0), (16, 10.0), (16, 100.0), (64, 30.0),
                      (320, 10.0)]
@@ -265,7 +265,6 @@ def test_one_cut_kernels_match_the_float_decisions(link):
     m, mean_i, sigma_i, thr = link_levels(LINKS[link])
     thresholds = thr[:m]
     cut = full_range_cuts(mean_i, sigma_i, thr)
-    block_cuts, block_high = kernels.block_tables(cut, pattern_array())
     rng = np.random.default_rng(2 * m + len(link))
     n = 30_000
     basis = rng.integers(0, m, n)
@@ -286,8 +285,8 @@ def test_one_cut_kernels_match_the_float_decisions(link):
     z3[near] = near_cuts(cut[sent[near]], rng)
     expected = float_coded_errors(basis, polarity, code_id, bits, z3, mean_i, sigma_i,
                                   thresholds, m)
-    assert kernels.coded_errors(basis, polarity, code_id, bits, z3, block_cuts,
-                                block_high, reach) == expected > 0
+    assert kernels.coded_errors(basis, polarity, code_id, bits, z3, cut, reach,
+                                pattern_array()) == expected > 0
 
 
 def full_bob_errors(level_idx, z, cut, high):
@@ -301,10 +300,13 @@ def full_eve_errors(level_idx, u, cut, bits):
     return int(np.count_nonzero((u > cut[level_idx]) != bits))
 
 
-def full_coded_errors(basis, polarity, code_id, bits, z, block_cuts, block_high):
-    """Block errors with every symbol of every block decided."""
-    row = basis.astype(np.intp) * 6 + code_id * 2 + (bits ^ polarity)
-    wrong = (z > block_cuts[row]) != block_high[row]
+def full_coded_errors(basis, polarity, code_id, bits, z, cut):
+    """Block errors with every symbol of every block decided: each symbol
+    is sent on its basis's high level where its pattern flags it, and is
+    decided high when its draw exceeds that level's cut."""
+    high = pattern_array()[code_id, bits ^ polarity]
+    level_idx = basis.astype(np.intp)[:, None] + cut.size // 2 * high.astype(np.intp)
+    wrong = (z > cut[level_idx]) != high
     return int(np.count_nonzero(wrong.sum(axis=1) >= 2))
 
 
@@ -361,7 +363,6 @@ CUT_TABLES = {
 def test_reach_filtered_kernels_match_the_full_decisions(table):
     m, cut = CUT_TABLES[table]()
     reach = kernels.decision_reach(cut, m)
-    block_cuts, block_high = kernels.block_tables(cut, pattern_array())
     rng = np.random.default_rng(len(table))
     n = 40_000
     basis = rng.integers(0, m, n)
@@ -377,8 +378,8 @@ def test_reach_filtered_kernels_match_the_full_decisions(table):
     sent = kernels.level_index(basis[:, None], pattern_array()[code_id, high], m)
     z3 = probe_draws(cut[sent], reach, rng)
     assert kernels.coded_errors(
-        basis, polarity, code_id, bits, z3, block_cuts, block_high, reach
-    ) == full_coded_errors(basis, polarity, code_id, bits, z3, block_cuts, block_high)
+        basis, polarity, code_id, bits, z3, cut, reach, pattern_array()
+    ) == full_coded_errors(basis, polarity, code_id, bits, z3, cut)
 
 
 def test_nan_cuts_set_the_reach():
@@ -484,10 +485,9 @@ def test_lfsr_fill_matches_oracle_on_any_register(register, n):
 @pytest.mark.parametrize("m", [43, 256, 1024])
 def test_narrow_draw_lanes_cannot_wrap_an_index(m):
     # keyed draws come as uint8 up to M=256 and uint16 up to M=1024; from
-    # M=43 on a uint8 basis * 6 would wrap, and basis + M * high from M=128
+    # M=128 on a uint8 basis + M * high would wrap
     _, mean_i, sigma_i, thr = link_levels(dict(m_bases=m))
     cut = kernels.decision_cuts(mean_i, sigma_i, thr)
-    block_cuts, block_high = kernels.block_tables(cut, pattern_array())
     rng = np.random.default_rng(m)
     n = 20_000
     basis = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
@@ -501,8 +501,8 @@ def test_narrow_draw_lanes_cannot_wrap_an_index(m):
     z3 = near_cuts(cut[sent], rng)
     reach = kernels.decision_reach(cut, m)
     bob = kernels.bob_errors(basis, polarity, bits, z, cut, reach)
-    coded = kernels.coded_errors(basis, polarity, code_id, bits, z3, block_cuts, block_high,
-                                 reach)
+    coded = kernels.coded_errors(basis, polarity, code_id, bits, z3, cut, reach,
+                                 pattern_array())
     eve = kernels.eve_errors(basis, polarity, bits, z, cut, reach)
     assert bob > 0 and coded > 0
     for lane in [np.uint8, np.uint16] if m <= 256 else [np.uint16]:
@@ -510,8 +510,8 @@ def test_narrow_draw_lanes_cannot_wrap_an_index(m):
         assert np.array_equal(kernels.level_index(narrow, high, m), level_idx)
         assert kernels.bob_errors(narrow, polarity, bits, z, cut, reach) == bob
         assert kernels.eve_errors(narrow, polarity, bits, z, cut, reach) == eve
-        assert kernels.coded_errors(narrow, polarity, code_id.astype(lane), bits, z3,
-                                    block_cuts, block_high, reach) == coded
+        assert kernels.coded_errors(narrow, polarity, code_id.astype(lane), bits, z3, cut,
+                                    reach, pattern_array()) == coded
 
 
 def test_kernel_names_the_benchmark_tracer_reads_exist():
