@@ -1,6 +1,6 @@
 """The Y-00 cipher layer: keystream generation, keyed basis selection with
-overlap selection keying (OSK), the eavesdropper's induced state mixtures,
-and the key-expansion session loop.
+overlap selection keying (OSK), and the eavesdropper's induced state
+mixtures.
 
 ConstellationSpec builds both 2M-level ladders: intensity, alpha_i =
 alpha_max * i / (2M), and two-mode phase. Basis j pairs level j with level
@@ -489,24 +489,6 @@ def draw_symbol_frames(
     return draw_uniform(gen, m_bases, count, tail_bit=assignment.mode == "osk")
 
 
-def bob_decode(received_amplitude, frame_params, spec: ConstellationSpec):
-    """Keyed demodulation of amplitude estimates: scalars, or arrays of one
-    shape with ``frame_params`` a (basis_indices, polarities) pair of arrays.
-
-    Thresholds at the midpoint of the two basis amplitudes; a value exactly
-    on the threshold resolves to the lower level. The polarity bit then
-    undoes the bit map, so a symbol sent noiselessly on its
-    ``kernels.level_index`` level decodes to its data bit.
-    """
-    basis, polarity = (np.asarray(p, dtype=np.intp) for p in frame_params)
-    amps = spec.level_amplitudes()
-    # numpy would wrap a negative index round to the upper levels
-    if ((basis < 0) | (basis >= spec.m_bases)).any():
-        raise ParameterError(f"basis index out of range 0..{spec.m_bases - 1}")
-    threshold = (amps[basis] + amps[basis + spec.m_bases]) / 2.0
-    return (received_amplitude > threshold) ^ polarity
-
-
 def eve_bit_mixtures(
     spec: ConstellationSpec, assignment: BasisAssignment
 ) -> DiscriminationProblem:
@@ -528,69 +510,3 @@ def eve_bit_mixtures(
     return DiscriminationProblem.two_mixtures(
         ensemble, idx0=tuple(range(spec.m_bases)), idx1=tuple(range(spec.m_bases, n))
     )
-
-
-@dataclass(frozen=True)
-class SessionResult:
-    """Outcome of a key-expansion session.
-
-    ``round_seeds`` records the seed bits driving each round's keystream;
-    from round 2 on, each entry equals the block transmitted in the
-    previous round.
-    """
-
-    alice_key: tuple[int, ...]
-    bob_key: tuple[int, ...]
-    mismatched_rounds: tuple[int, ...]
-    round_seeds: tuple[tuple[int, ...], ...]
-
-    @property
-    def mismatch_count(self) -> int:
-        return len(self.mismatched_rounds)
-
-
-def key_expansion_session(
-    initial_seed: SeedKey,
-    rounds: int,
-    randomness: np.random.Generator,
-    channel_ber: float = 0.0,
-    spec: Optional[ConstellationSpec] = None,
-    assignment: BasisAssignment = BasisAssignment("osk"),
-) -> SessionResult:
-    """Accumulate key material by repeatedly shipping fresh random blocks.
-
-    Each round draws a true-random block as long as the seed, sends it on
-    the levels keyed by the running key, decides it with Bob's copy of the
-    key (past an optional bit-flip channel at rate ``channel_ber``), and
-    then refreshes the seed with the transmitted block. Rounds where Bob's
-    copy differs are flagged; the refresh uses the transmitted block so
-    that a flagged round models a retransmission rather than a
-    desynchronized stream.
-    """
-    if rounds < 1:
-        raise ParameterError("need at least one round")
-    if not 0.0 <= channel_ber <= 1.0:
-        raise ParameterError("channel_ber must lie in [0, 1]")
-    if spec is None:
-        spec = ConstellationSpec.intensity_ladder(2, 4.0)
-    amps, m, n = spec.level_amplitudes(), spec.m_bases, initial_seed.n
-    seed = initial_seed
-    alice_key, bob_key, mismatched, round_seeds = [], [], [], []
-    for r in range(rounds):
-        round_seeds.append(seed.bits)
-        while True:
-            block = randomness.integers(0, 2, size=n, dtype=np.uint8)
-            if block.any():
-                break  # an all-zero block cannot reseed the register
-        basis, polarity = draw_symbol_frames(KeystreamGenerator(seed), m, assignment, n)
-        sent = amps[kernels.level_index(basis, block ^ polarity, m)]
-        bob_frames = draw_symbol_frames(KeystreamGenerator(seed), m, assignment, n)
-        received = bob_decode(sent, bob_frames, spec)
-        if channel_ber > 0.0:
-            received ^= randomness.random(n) < channel_ber
-        if not np.array_equal(received, block):
-            mismatched.append(r)
-        alice_key.extend(block.tolist())
-        bob_key.extend(received.tolist())
-        seed = SeedKey(tuple(block.tolist()))
-    return SessionResult(tuple(alice_key), tuple(bob_key), tuple(mismatched), tuple(round_seeds))

@@ -26,8 +26,8 @@ TABLE = Path(__file__).with_name("byte_grid.txt")
 CFG = "{cfg}"  # the default config, written to a scratch file
 
 
-def _run(*settings: str, command: str = "run", trials: int = 2000) -> list[str]:
-    sets = [f"trials={trials}"] * (command in ("run", "sweep")) + list(settings)
+def _argv(*settings: str, command: str = "run") -> list[str]:
+    sets = ["trials=2000"] * (command != "attacks") + list(settings)
     return [command, CFG, *(a for kv in sets for a in ("--set", kv))]
 
 
@@ -42,7 +42,7 @@ LINKS = {
 }
 GRID_M = [1, 2, 3, 15, 16, 17, 33, 64, 65]
 ASSIGNMENTS = ["assignment=osk", "assignment=non_overlap"]
-# each stops at validate() with exit 2, but the zero seed, a run-time error (exit 1)
+# each a config error (exit 2), but the zero seed, a run-time error (exit 1)
 ERRORS = [
     "M=0", "M=1025", "M=nope", "alpha_max=5e-324", "alpha_max=1e10", "G_p=0.5", "G_p=1e200",
     "kappa_r=0", "kappa_r=2", "N=-1", "n_mean=0", "n_mean=1e300", "n_sp=0.5", "B=0",
@@ -72,40 +72,40 @@ RANDOM_VALUES = {
 
 def grid_argvs() -> list[list[str]]:
     """Every argv of the grid, in table order."""
-    argvs = [["emit-default-config"], _run()]
+    argvs = [["emit-default-config"], _argv()]
     # run at every M, both assignments, coding on and off, both keystreams
     for m, assignment, coding, keystream in itertools.product(
-        GRID_M, ASSIGNMENTS, ["coding=on", "coding=off"], ["keystream=lfsr",
-                                                           "keystream=counter_hash"]
+        GRID_M, ASSIGNMENTS, ["coding=on", "coding=off"],
+        ["keystream=lfsr", "keystream=counter_hash"],
     ):
-        argvs.append(_run(f"M={m}", assignment, coding, keystream))
+        argvs.append(_argv(f"M={m}", assignment, coding, keystream))
     for link, m, assignment in itertools.product(LINKS, [1, 4, 16, 17], ASSIGNMENTS):
-        argvs.append(_run(f"M={m}", assignment, *LINKS[link]))
+        argvs.append(_argv(f"M={m}", assignment, *LINKS[link]))
     for exponent, m, assignment in itertools.product(range(-9, 9), [2, 16], ASSIGNMENTS):
-        argvs.append(_run(f"M={m}", assignment, f"alpha_max=1e{exponent}"))
+        argvs.append(_argv(f"M={m}", assignment, f"alpha_max=1e{exponent}"))
     for kind, m, alpha in itertools.product(
         ["intensity_ladder", "phase_ladder"], GRID_M, ["1", "30", "100"]
     ):
-        argvs.append(_run(f"kind={kind}", f"M={m}", f"alpha_max={alpha}", command="attacks"))
+        argvs.append(_argv(f"kind={kind}", f"M={m}", f"alpha_max={alpha}", command="attacks"))
     # above 128 levels every command factors the two Toeplitz halves
     for kind, m in itertools.product(["intensity_ladder", "phase_ladder"], [100, 128, 200]):
-        argvs.append(_run(f"kind={kind}", f"M={m}", command="attacks"))
+        argvs.append(_argv(f"kind={kind}", f"M={m}", command="attacks"))
     for assignment in ASSIGNMENTS:
-        argvs.append(_run("M=100", assignment))
+        argvs.append(_argv("M=100", assignment))
     for variable, values in [("M", "2,4,16,17"), ("alpha_max", "1,10,100"), ("N", "0,3,10"),
                              ("n_mean", "1e12,1e13")]:
         for assignment in ASSIGNMENTS:
-            argvs.append(_run(f"sweep_variable={variable}", f"sweep_values={values}", assignment,
-                              command="sweep"))
+            argvs.append(_argv(f"sweep_variable={variable}", f"sweep_values={values}",
+                               assignment, command="sweep"))
     for setting in ERRORS:
-        argvs.append(_run(setting))
-    argvs.append(_run("sweep_variable=M", "sweep_values=2,8.5", command="sweep"))
-    argvs.append(_run("seed_key=0000", "keystream=counter_hash"))
-    argvs.append(_run("seed_key=0000", command="attacks"))
+        argvs.append(_argv(setting))
+    argvs.append(_argv("sweep_variable=M", "sweep_values=2,8.5", command="sweep"))
+    argvs.append(_argv("seed_key=0000", "keystream=counter_hash"))
+    argvs.append(_argv("seed_key=0000", command="attacks"))
     rng = random.Random(20261022)
     for _ in range(60):
         keys = rng.sample(sorted(RANDOM_VALUES), rng.randint(2, 6))
-        argvs.append(_run(*(f"{key}={rng.choice(RANDOM_VALUES[key])}" for key in sorted(keys))))
+        argvs.append(_argv(*(f"{key}={rng.choice(RANDOM_VALUES[key])}" for key in sorted(keys))))
     return argvs
 
 

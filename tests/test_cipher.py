@@ -21,12 +21,10 @@ from y00sim.y00_cipher import (
     _decode,
     _is_prime,
     _prime_factors,
-    bob_decode,
     draw_symbol_frames,
     draw_uniform,
     eve_bit_mixtures,
     is_maximal_lfsr,
-    key_expansion_session,
     lfsr_polynomial,
 )
 
@@ -392,61 +390,6 @@ class TestEncodeDecode:
                 levels = {sent_level(basis, polarity, bit, 4) for polarity in (0, 1)}
                 assert levels == {basis, basis + 4}
 
-    @pytest.mark.parametrize("m", [1, 2, 8, 32])
-    def test_noiseless_round_trip(self, m):
-        spec = ConstellationSpec.intensity_ladder(m, 10.0)
-        for basis in range(m):
-            for polarity in (0, 1):
-                for bit in (0, 1):
-                    level = spec.levels[sent_level(basis, polarity, bit, m)]
-                    assert bob_decode(level.modes[0].real, (basis, polarity), spec) == bit
-
-    def test_arrays_decode_per_symbol(self, rng):
-        spec = ConstellationSpec.intensity_ladder(5, 10.0)
-        amplitude = rng.uniform(0.0, 10.0, 500)
-        basis = rng.integers(0, 5, 500, dtype=np.uint8)
-        polarity = rng.integers(0, 2, 500, dtype=np.uint8)
-        expected = [
-            int(a > (spec.levels[b].modes[0].real + spec.levels[b + 5].modes[0].real) / 2) ^ p
-            for a, b, p in zip(amplitude, basis.tolist(), polarity.tolist())
-        ]
-        assert bob_decode(amplitude, (basis, polarity), spec).tolist() == expected
-
-    @pytest.mark.parametrize("basis", [-1, 4, [0, -1], [3, 4]])
-    def test_basis_out_of_range_rejected(self, basis):
-        # numpy would read index -1 as the top level
-        spec = ConstellationSpec.intensity_ladder(4, 4.0)
-        with pytest.raises(ParameterError, match="out of range"):
-            bob_decode(np.ones(np.shape(basis)), (basis, np.zeros_like(basis)), spec)
-
-    def test_midpoint_resolves_to_lower_level(self):
-        spec = ConstellationSpec.intensity_ladder(2, 4.0)
-        low, high = spec.levels[0], spec.levels[2]
-        midpoint = (low.modes[0].real + high.modes[0].real) / 2
-        assert bob_decode(midpoint, (0, 0), spec) == 0  # lower level carries bit 0
-        assert bob_decode(midpoint, (0, 1), spec) == 1  # polarity flips the map
-
-    def test_gaussian_perturbation_matches_q_function(self, rng):
-        # compare the empirical flip rate against the link-model BER with
-        # matching signal-independent noise
-        spec = ConstellationSpec.intensity_ladder(1, 2.0)
-        low, high = (s.modes[0].real for s in spec.levels)
-        sigma = 0.4
-        n = 100_000
-        amplitudes = np.where(rng.random(n) < 0.5, low, high)
-        bits = (amplitudes == high).astype(int)
-        received = amplitudes + sigma * rng.standard_normal(n)
-        errors = sum(
-            bob_decode(r, (0, 0), spec) != b for r, b in zip(received, bits)
-        )
-        # analytic rate: Phi(-(high-low) / (2 sigma))
-        from math import erfc, sqrt
-
-        q = (high - low) / (2 * sigma)
-        expected = 0.5 * erfc(q / sqrt(2))
-        stderr = np.sqrt(expected * (1 - expected) / n)
-        assert abs(errors / n - expected) < 3 * stderr
-
 
 class TestEveMixtures:
     def test_osk_hypotheses_share_every_ket(self):
@@ -465,64 +408,6 @@ class TestEveMixtures:
         highs = {states[i] for i in problem.hypothesis_1}
         assert lows == set(spec.levels[:4])
         assert highs == set(spec.levels[4:])
-
-
-class TestKeyExpansion:
-    def test_noiseless_session_accumulates_shared_key(self):
-        result = key_expansion_session(
-            SeedKey.from_hex("ACE1"), rounds=3, randomness=np.random.default_rng(5)
-        )
-        assert result.alice_key == result.bob_key
-        assert len(result.alice_key) == 48
-        assert result.mismatch_count == 0
-
-    def test_seed_refreshes_with_transmitted_block(self):
-        result = key_expansion_session(
-            SeedKey.from_hex("ACE1"), rounds=3, randomness=np.random.default_rng(9)
-        )
-        assert result.round_seeds[1] == result.alice_key[:16]
-        assert result.round_seeds[2] == result.alice_key[16:32]
-
-    def test_noisy_rounds_flagged_at_binomial_rate(self):
-        p = 0.01
-        rounds = 1000
-        result = key_expansion_session(
-            SeedKey.from_hex("ACE1"),
-            rounds=rounds,
-            randomness=np.random.default_rng(77),
-            channel_ber=p,
-        )
-        expected = 1 - (1 - p) ** 16
-        stderr = np.sqrt(expected * (1 - expected) / rounds)
-        assert abs(result.mismatch_count / rounds - expected) < 3 * stderr
-
-    # (seed, M, assignment, channel_ber, rounds, randomness seed): the mismatch
-    # count and the leading 16 hex digits of the SHA-256 of the result's fields,
-    # as recorded from the earlier symbol-at-a-time session loop
-    SESSION_PINS = [
-        (("ACE1", 1, "osk", 0.0, 40, 1), 0, "bade13e947d9e0e4"),
-        (("ACE1", 2, "osk", 0.01, 1000, 77), 153, "09736a848af3d7a4"),
-        (("ACE1F00D", 8, "non_overlap", 0.05, 200, 3), 176, "5699655964829800"),
-        (("1234ABCD", 15, "osk", 0.2, 100, 4), 100, "3dab470e3e3a2aa7"),
-        (("ACE1", 17, "non_overlap", 0.0, 100, 5), 0, "90b8ad12d5b23bed"),
-        (("9E3779B9", 17, "osk", 0.1, 300, 6), 291, "882da4f55bb7092d"),
-    ]
-
-    @pytest.mark.parametrize("case, mismatches, digest", SESSION_PINS)
-    def test_session_results_are_pinned(self, case, mismatches, digest):
-        seed, m, mode, ber, rounds, randomness = case
-        result = key_expansion_session(
-            SeedKey.from_hex(seed), rounds, np.random.default_rng(randomness), ber,
-            ConstellationSpec.intensity_ladder(m, 10.0), BasisAssignment(mode),
-        )
-        fields = (result.alice_key, result.bob_key, result.mismatched_rounds, result.round_seeds)
-        assert result.mismatch_count == mismatches
-        assert hashlib.sha256(repr(fields).encode()).hexdigest()[:16] == digest
-
-    def test_phase_ladder_has_no_amplitude_decision(self):
-        with pytest.raises(ParameterError):
-            key_expansion_session(SeedKey.from_hex("ACE1"), 1, np.random.default_rng(1),
-                                  spec=ConstellationSpec.phase_ladder(2, 4.0))
 
 
 class TestConstellationSpec:
@@ -599,13 +484,6 @@ class TestConstellationSpec:
             tracemalloc.stop()
         assert peak < 32 * 1024
 
-    def test_basis_pairs_split_by_m(self):
-        # basis 2 of 4 decides between levels 2 and 2 + M
-        spec = ConstellationSpec.intensity_ladder(4, 4.0)
-        low, high = (spec.levels[i].modes[0].real for i in (2, 6))
-        assert bob_decode(low, (2, 0), spec) == 0
-        assert bob_decode(high, (2, 0), spec) == 1
-
     def test_rejects_nonpositive_peak(self):
         with pytest.raises(ParameterError):
             ConstellationSpec.intensity_ladder(4, 0.0)
@@ -674,10 +552,6 @@ SEED = SeedKey.from_hex("ACE1F00D")
         (lambda: ConstellationSpec("intensity_ladder", 2, 5e-324), ParameterError,
          "strictly increasing"),
         (lambda: draw_uniform(KeystreamGenerator(SEED), 0, 1), ParameterError, "bound >= 1"),
-        (lambda: key_expansion_session(SEED, 0, np.random.default_rng(0)), ParameterError,
-         "at least one round"),
-        (lambda: key_expansion_session(SEED, 1, np.random.default_rng(0), channel_ber=2.0),
-         ParameterError, "channel_ber must lie in"),
     ],
 )
 def test_argument_checks(call, error, fragment):

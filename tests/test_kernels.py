@@ -390,6 +390,31 @@ def test_nan_cuts_set_the_reach():
     assert kernels.decision_reach(np.array([np.nan, np.nan]), 1) == (np.inf, np.inf)
 
 
+@pytest.mark.parametrize("m", [1, 2, 8, 32])
+def test_a_noise_free_symbol_decides_as_its_bit(m):
+    # Bob's level rule without an oracle: with unit noise and each basis's
+    # midpoint as both its levels' threshold, a cut is that midpoint, and a
+    # noise-free symbol's draw is its level's amplitude. (Zero noise would
+    # give +-inf cuts, which put every draw inside the reach, undecided.)
+    amps = ConstellationSpec.intensity_ladder(m, 10.0).level_amplitudes()
+    midpoint = np.tile((amps[:m] + amps[m:]) / 2, 2)
+    cut = kernels.decision_cuts(0.0, 1.0, midpoint)
+    reach = kernels.decision_reach(cut, m)
+    basis, polarity, bits = (a.ravel() for a in np.meshgrid(
+        np.arange(m, dtype=np.uint8), *[np.arange(2, dtype=np.uint8)] * 2, indexing="ij"))
+    high = (bits ^ polarity).astype(bool)
+    level = kernels.level_index(basis, high, m)
+    assert kernels.bob_errors(basis, polarity, bits, amps[level], cut, reach) == 0
+    # a draw on the midpoint decides low: no low symbol errs, and every high one does
+    for rows, errors in [(~high, 0), (high, 2 * m)]:
+        frame = basis[rows], polarity[rows], bits[rows]
+        assert kernels.bob_errors(*frame, cut[level[rows]], cut, reach) == errors
+    # read with the other polarity, one symbol decides as the other bit
+    flipped = polarity.copy()
+    flipped[m] ^= 1
+    assert kernels.bob_errors(basis, flipped, bits, amps[level], cut, reach) == 1
+
+
 class TestLfsrSemantics:
     def test_output_is_shifted_out_bit(self):
         # by hand: state 0b10 emits 0 and halves; 0b1 emits 1 and folds the

@@ -59,9 +59,6 @@ KEPT = {
     "fiber_link.bob_practical_vs_optimal": "acceptance criterion 9",
     "scenario.ScenarioConfig.link_params": "acceptance criterion 9",
     "kernels.backend_name": "the benchmark harness reports it",
-    "y00_cipher.bob_decode": "Bob's keyed decision in the documented session",
-    "y00_cipher.key_expansion_session": "the documented key-expansion session",
-    "y00_cipher.SessionResult.mismatch_count": "the documented key-expansion session",
 }
 
 # Trace calls from before the package is imported, so module-level calls
