@@ -143,10 +143,9 @@ def decision_point(params: LinkParams, rate_on, rate_off):
 
     Returns (threshold, i_on, i_off, sigma_on, sigma_off). With unequal
     variances the threshold sits at i_off + sigma_off (i_on - i_off) /
-    (sigma_on + sigma_off), which makes P(0|1) = P(1|0); a noise-free link
-    decides at the midpoint. Raises ParameterError when a value is not
-    finite in double precision, or a noise-free pair's threshold does not
-    split its currents (they rounded together).
+    (sigma_on + sigma_off), which makes P(0|1) = P(1|0). Raises
+    ParameterError when a value is not finite in double precision, or a
+    level's noise is 0 (at a positive rate, only by underflow).
     """
     rates = np.array(np.broadcast_arrays(rate_on, rate_off), dtype=float)
     if not (np.isfinite(rates).all() and (rates >= 0).all()):
@@ -157,14 +156,12 @@ def decision_point(params: LinkParams, rate_on, rate_off):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             i_on, i_off = mean_photocurrent(params, rates)
             sigma_on, sigma_off = np.sqrt(noise_budget(params, rates).total_on)
-            denom = sigma_on + sigma_off
-            noisy = denom != 0.0
-            equal_error = i_off + sigma_off * (i_on - i_off) / np.where(noisy, denom, 1.0)
-            threshold = np.where(noisy, equal_error, (i_on + i_off) / 2.0)
+            # every noise term grows with the rate, so sigma_on >= sigma_off
+            if not (sigma_off > 0.0).all():
+                raise ParameterError("a level's photocurrent noise is 0")
+            threshold = i_off + sigma_off * (i_on - i_off) / (sigma_on + sigma_off)
     except ArithmeticError as exc:
         raise ParameterError(str(exc)) from exc
-    if not (noisy | ((i_off <= threshold) & (threshold < i_on))).all():
-        raise ParameterError("a noise-free pair's threshold does not split its currents")
     return threshold[()], i_on[()], i_off[()], sigma_on[()], sigma_off[()]
 
 
@@ -180,32 +177,20 @@ def ber_on_off(params: LinkParams, rate_on, rate_off):
 def gaussian_ber(i_on, i_off, sigma_on, sigma_off):
     """The decision error at ``decision_point``'s threshold, from its
     currents and sigmas: Gaussian model with Q = (i_on - i_off) /
-    (sigma_on + sigma_off), giving P(0|1) = P(1|0) = Phi(-Q). A noise-free
-    link gives 0, and so does one whose Q overflows to +inf (Phi(-inf) is
-    0). A one-sided link, sigma_off == 0 < sigma_on, has its threshold on
-    i_off: P(1|0) = 0, and the error is Phi(-Q) / 2. Raises ParameterError
-    when an input is not finite, a sigma is negative, or the current gap
-    and the sigma sum both overflow."""
+    (sigma_on + sigma_off), giving P(0|1) = P(1|0) = Phi(-Q). A link whose
+    Q overflows to +inf gives 0 (Phi(-inf) is 0). Raises ParameterError
+    when an input is not finite, a sigma is not positive, or the current
+    gap and the sigma sum both overflow."""
     i_on, i_off, sigma_on, sigma_off = np.broadcast_arrays(i_on, i_off, sigma_on, sigma_off)
     if not all(np.isfinite(v).all() for v in (i_on, i_off, sigma_on, sigma_off)):
         raise ParameterError("currents and sigmas must be finite")
-    if (sigma_on < 0).any() or (sigma_off < 0).any():
-        raise ParameterError("sigmas must be >= 0")
+    if not ((sigma_on > 0).all() and (sigma_off > 0).all()):
+        raise ParameterError("sigmas must be > 0")
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = sigma_on + sigma_off
-        noisy = denom != 0.0
-        q = (i_on - i_off) / np.where(noisy, denom, 1.0)
+        q = (i_on - i_off) / (sigma_on + sigma_off)
     if np.isnan(q).any():  # inf / inf
         raise ParameterError("Q is inf / inf: the current gap and the sigma sum both overflow")
-    ber = np.where(noisy, 0.5 * _erfc(q / math.sqrt(2.0)), 0.0)
-    return np.where(one_sided(sigma_on, sigma_off), ber / 2, ber)[()]
-
-
-def one_sided(sigma_on, sigma_off):
-    """Whether a link's off level is noise-free and its on level is not: then
-    only the on level errs. Every noise term grows with the rate, so
-    sigma_on >= sigma_off, and this is the only one-sided case."""
-    return (np.asarray(sigma_off) == 0.0) & (np.asarray(sigma_on) > 0.0)
+    return (0.5 * _erfc(q / math.sqrt(2.0)))[()]
 
 
 def level_photon_rate(params: LinkParams, spec: ConstellationSpec, level_index):

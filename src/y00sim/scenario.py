@@ -29,7 +29,7 @@ from .coherent_algebra import (
 )
 from .detection import guess_baseline, helstrom_error, minimax_pair, srm_diagonal
 from .errors import ConfigError, IllConditionedEnsembleError, ParameterError
-from .fiber_link import LinkParams, decision_point, gaussian_ber, level_photon_rate, one_sided
+from .fiber_link import LinkParams, decision_point, gaussian_ber, level_photon_rate
 from .overlap_coding import analytic_block_error, pattern_array
 from .y00_cipher import (
     BasisAssignment,
@@ -469,9 +469,7 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
             block_errors += kernels.coded_errors(*frame, z, bob_cut, bob_reach, patterns)
         block_fields = dict(
             coded_blocks=n,
-            block_error_analytic=float(np.mean(list(map(
-                analytic_block_error, basis_ber, one_sided(sigma_i[m:], sigma_i[:m])
-            )))),
+            block_error_analytic=float(np.mean(list(map(analytic_block_error, basis_ber)))),
             block_error_montecarlo=block_errors / n,
             block_error_stderr=_stderr(block_errors, n),
             block_error_count=block_errors,

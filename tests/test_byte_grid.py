@@ -5,7 +5,8 @@ of them fails that argv's case, named by its command and settings.
 
 The table lives in ``byte_grid.txt`` beside this file, one row per argv:
 its digest, two spaces, then the argv as a JSON list. Rewrite it only for
-a deliberate re-pin, and list the moved rows where the change is recorded:
+a deliberate re-pin, and list the moved rows it prints where the change
+is recorded:
 
     PYTHONPATH=src python tests/test_byte_grid.py --rewrite
 """
@@ -33,13 +34,13 @@ def _argv(*settings: str, command: str = "run") -> list[str]:
     return [command, CFG, *(a for kv in sets for a in ("--set", kv))]
 
 
-# a few links beyond the default: noisy, amplifier-free, one-sided (the off
-# level's noise underflows to 0) and near BER 1/2
+# a few links beyond the default: noisy, amplifier-free, underflowing (the
+# off level's noise rounds to 0, a config error) and near BER 1/2
 LINKS = {
     "default": [],
     "noisy": ["N=20", "G_p=30", "kappa_r=0.1", "I_th_var=1e-11"],
     "amplifier_free": ["G_p=1", "N=0"],
-    "one_sided": ["G_p=1", "N=0", "I_th_var=0", "B=1e-3", "n_mean=1.3141473626117096e-283"],
+    "underflow": ["G_p=1", "N=0", "I_th_var=0", "B=1e-3", "n_mean=1.3141473626117096e-283"],
     "near_half": ["n_mean=1e9", "alpha_max=1"],
 }
 GRID_M = [1, 2, 3, 15, 16, 17, 33, 64, 65]
@@ -130,7 +131,14 @@ def read_table() -> list[tuple[list[str], str]]:
 
 
 def write_table(cfg: Path) -> None:
-    lines = [f"{digest(argv, cfg)}  {json.dumps(argv)}" for argv in grid_argvs()]
+    """Rewrite the table, printing each argv whose digest changed or is new."""
+    old = {json.dumps(argv): sha for argv, sha in read_table()} if TABLE.exists() else {}
+    lines = []
+    for argv in grid_argvs():
+        key, sha = json.dumps(argv), digest(argv, cfg)
+        if old.get(key) != sha:
+            print(_case_id(argv))
+        lines.append(f"{sha}  {key}")
     TABLE.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

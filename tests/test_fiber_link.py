@@ -136,12 +136,6 @@ class TestNoiseBudget:
 
 
 class TestBerOnOff:
-    def test_vanishing_noise_gives_zero_error(self):
-        # with g_p = 1, no repeaters, and no thermal noise only shot noise
-        # remains; at a wide-open eye the Gaussian tail underflows to 0.0
-        zero_noise = LinkParams(g_p=1.0, kappa_r=1.0, n_repeaters=0, thermal_var=0.0)
-        assert ber_on_off(zero_noise, 1e14, 0.0) == 0.0
-
     def test_vanishing_eye_approaches_half(self):
         params = LinkParams(g_p=10.0, kappa_r=0.5, n_repeaters=5, thermal_var=1e-13)
         assert ber_on_off(params, 1.0000001e10, 1e10) == pytest.approx(0.5, abs=1e-4)
@@ -290,11 +284,13 @@ def test_a_rate_that_is_not_finite_raises(call, rate):
     ((1.0, 0.0, math.inf, 1.0), "finite"),
     ((1.0, -math.inf, 1.0, 1.0), "finite"),
     ((np.array([1.0, math.nan]), 0.0, 1.0, 1.0), "finite"),
-    ((1.0, 0.0, -1.0, 1.0), "sigmas must be >= 0"),
-    ((1.0, 0.0, 1.0, np.array([1.0, -1e-300])), "sigmas must be >= 0"),
+    ((1.0, 0.0, -1.0, 1.0), "sigmas must be > 0"),
+    ((1.0, 0.0, 1.0, np.array([1.0, -1e-300])), "sigmas must be > 0"),
+    ((1.0, 0.0, 0.0, 1.0), "sigmas must be > 0"),
+    ((1.0, 0.0, 1.0, np.array([1.0, 0.0])), "sigmas must be > 0"),
     ((1e308, -1e308, 1e308, 1e308), "inf / inf"),
 ], ids=["nan_current", "inf_sigma", "inf_current", "nan_in_array", "negative_sigma",
-        "negative_in_array", "gap_and_sigma_sum_overflow"])
+        "negative_in_array", "zero_sigma_on", "zero_sigma_off", "gap_and_sigma_sum_overflow"])
 def test_gaussian_ber_rejects_what_it_cannot_evaluate(args, fragment):
     with pytest.raises(ParameterError, match=fragment):
         gaussian_ber(*args)
@@ -303,9 +299,10 @@ def test_gaussian_ber_rejects_what_it_cannot_evaluate(args, fragment):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("args, ber", [
     ((1e308, -1e308, 1.0, 1.0), 0.0),
-    ((1.0, 0.0, 5e-324, 0.0), 0.0),
+    ((1.0, 0.0, 5e-324, 5e-324), 0.0),
     ((-1e308, 1e308, 1.0, 1.0), 1.0),
-    ((1.0, 0.0, np.array([1.0, 5e-324]), 0.0), np.array([gaussian_ber(1.0, 0.0, 1.0, 0.0), 0.0])),
+    ((1.0, 0.0, np.array([1.0, 5e-324]), 5e-324),
+     np.array([gaussian_ber(1.0, 0.0, 1.0, 5e-324), 0.0])),
 ], ids=["gap_overflows", "quotient_overflows", "negative_q_overflows", "overflow_in_array"])
 def test_gaussian_ber_takes_the_limit_where_q_overflows(args, ber):
     # Q = +-inf, and Phi(-Q) is its limit 0 or 1
@@ -330,9 +327,9 @@ def test_mean_photocurrent_rejects_what_it_cannot_evaluate(params, rate, fragmen
     [
         (lambda: LinkParams(n_repeaters=-1), ParameterError, "repeater count must be >= 0"),
         (lambda: decision_point(LinkParams(), 1.0, -1.0), ParameterError, "nonnegative"),
-        # noise-free (shot noise underflows to 0) with both currents rounding to 0
+        # shot noise alone, and it underflows to 0
         (lambda: decision_point(LinkParams(), 1.5e-305, 1e-305), ParameterError,
-         "does not split its currents"),
+         "noise is 0"),
     ],
 )
 def test_argument_checks(call, error, fragment):
@@ -342,8 +339,8 @@ def test_argument_checks(call, error, fragment):
 
 def two_sided_ber(i_on, i_off, sigma_on, sigma_off):
     """gaussian_ber as it read before one-sided links were split off: the
-    reference for every link whose off level is noisy, or whose levels are
-    both noise-free."""
+    reference for every link decision_point accepts, each of whose levels
+    is noisy."""
     with np.errstate(over="ignore", invalid="ignore"):
         denom = sigma_on + sigma_off
         noisy = denom != 0.0
@@ -367,15 +364,16 @@ def test_gaussian_ber_is_unchanged_on_two_sided_links(rate_off, gap, **fields):
         _, i_on, i_off, s_on, s_off = decision_point(LinkParams(**fields), rate_off + gap, rate_off)
     except ParameterError:
         assume(False)
-    assume(s_off > 0.0 or s_on == 0.0)
+    assert s_off > 0.0
     expected = two_sided_ber(i_on, i_off, s_on, s_off)
     assert np.float64(gaussian_ber(i_on, i_off, s_on, s_off)).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("sigma_on", [1.0, 0.25, np.array([1.0, 3.0])])
-def test_a_one_sided_link_errs_only_on_its_on_level(sigma_on):
-    # the threshold sits on the noise-free i_off, so P(1|0) = 0 and the
-    # error is half the on level's Phi(-Q)
-    ber = gaussian_ber(1.0, 0.0, sigma_on, 0.0)
-    q = 1.0 / np.asarray(sigma_on)
-    assert np.array_equal(ber, 0.25 * np.vectorize(math.erfc)(q / math.sqrt(2.0)))
+@pytest.mark.parametrize("call", [decision_point, ber_on_off])
+@pytest.mark.parametrize("rate_on, rate_off", [(1e14, 0.0), (1.5e-305, 1e-305)])
+def test_a_level_without_noise_is_rejected(call, rate_on, rate_off):
+    # no amplifier and no thermal noise leave shot noise alone, which is 0
+    # at a zero rate and underflows to 0 at a tiny one
+    ideal = LinkParams(g_p=1.0, n_repeaters=0, thermal_var=0.0)
+    with pytest.raises(ParameterError, match="noise is 0"):
+        call(ideal, rate_on, rate_off)

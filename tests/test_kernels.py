@@ -206,8 +206,9 @@ def powers(low, high):
 def valid_links(draw):
     """The level tables of a valid intensity ladder link: every value drawn
     across its range on a log scale, and half the links amplifier-free with
-    no thermal noise, where a tiny n_mean or bandwidth rounds some levels'
-    shot noise to 0."""
+    no thermal noise, where a tiny n_mean or bandwidth leaves some levels'
+    shot noise subnormal. A level whose noise rounds to 0 makes no valid
+    link, so every sigma drawn is positive."""
     fields = dict(
         m_bases=draw(st.integers(1, 64)), alpha_max=draw(powers(-3, 8)),
         n_mean=draw(powers(-300, 20)), n_sp=draw(powers(0, 2)),

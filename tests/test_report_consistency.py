@@ -1,20 +1,20 @@
 """Every `run` report agrees with itself: over fuzzed configs, each Monte
 Carlo count lies within a 1e-9 Chernoff bound of the analytic value printed
 beside it, and criterion 9's practical receiver never beats the quantum
-optimum. A quarter of the links sit in the one-sided corner (no amplifier,
-no thermal noise, n_mean 1e-300 to 1e-250, B <= 1), where a basis's off
-level's noise variance can round to 0 while its on level's does not. Few
-draws in that range land there, so a known one-sided link is an edge value
-among them.
+optimum. A quarter of the links sit in the underflow corner (no amplifier,
+no thermal noise, n_mean 1e-300 to 1e-250, B <= 1), where the shot noise
+is all the noise there is and its variance is subnormal. A level whose
+variance rounds to 0 makes the config invalid, so a known such link, an
+edge value among them, is drawn and set aside.
 
 Derandomized Hypothesis on a seeded Monte Carlo draws the same examples and
-counts on every run, so neither test is flaky."""
+counts on every run, so no test here is flaky."""
 
 import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from y00sim.errors import ConfigError, ParameterError
 from y00sim.fiber_link import bob_practical_vs_optimal
@@ -23,8 +23,9 @@ from y00sim.scenario import ScenarioConfig, default_config, run_scenario
 from test_scenario_cli import log_tail_bound
 
 LOG_BOUND = math.log(1e-9)
-# with B = 1e-3, a one-sided link at M = 1 (test_scenario_cli's)
-ONE_SIDED_N_MEAN = 1.3141473626117096e-283
+# with B = 1e-3, a link at M = 1 whose off level's noise underflows to 0 and
+# whose on level's does not (test_scenario_cli's): a config error
+UNDERFLOW_N_MEAN = 1.3141473626117096e-283
 
 
 def powers(low, high):
@@ -34,7 +35,7 @@ def powers(low, high):
 @st.composite
 def run_configs(draw):
     """A valid intensity-ladder config at M <= 65 and 20000 trials: its
-    link amplified, amplifier-free, or in the one-sided corner."""
+    link amplified, amplifier-free, or in the underflow corner."""
     fields = dict(
         m_bases=draw(st.integers(1, 65)), alpha_max=draw(powers(-9, 8)),
         assignment=draw(st.sampled_from(["osk", "non_overlap"])),
@@ -43,10 +44,10 @@ def run_configs(draw):
         coding=draw(st.booleans()), master_rng_seed=draw(st.integers(0, 2**64)),
         trials=20_000,
     )
-    link = draw(st.sampled_from(["one_sided", "amplifier_free", "amplified", "amplified"]))
-    if link == "one_sided":
+    link = draw(st.sampled_from(["underflow", "amplifier_free", "amplified", "amplified"]))
+    if link == "underflow":
         fields.update(g_p=1.0, n_repeaters=0, thermal_var=0.0,
-                      n_mean=draw(st.one_of(st.just(ONE_SIDED_N_MEAN), powers(-300, -250))),
+                      n_mean=draw(st.one_of(st.just(UNDERFLOW_N_MEAN), powers(-300, -250))),
                       bandwidth=draw(st.one_of(st.just(1e-3), powers(-3, 0))))
     else:
         fields.update(n_mean=draw(powers(-5, 20)), n_sp=draw(powers(0, 1)),
@@ -85,17 +86,22 @@ def test_each_count_agrees_with_its_analytic_value(config):
         assert plausible(eve, n, analytic)
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(run_configs())
+def test_the_practical_receiver_never_beats_the_optimum(config):
+    practical, optimal = bob_practical_vs_optimal(config.link_params(), config.constellation())
+    assert practical >= optimal
+
+
 @pytest.mark.xfail(
     raises=ParameterError, strict=True,
     reason="exp(-d^2) rounds to 1 for an amplitude gap d below about 1e-8, so "
-           "helstrom_pure_pair returns 0.5 (the example); and a one-sided link, whose off "
-           "level's noise variance rounds to 0, reports a BER far below its optimum near 0.5",
+           "helstrom_pure_pair returns 0.5",
 )
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(run_configs())
-@example(ScenarioConfig.from_text("", (
-    "M=12", "alpha_max=3595.48", "G_p=1", "N=0", "I_th_var=0", "n_mean=1.404e-5", "B=2.574e11",
-)))
-def test_the_practical_receiver_never_beats_the_optimum(config):
+def test_the_optimum_holds_where_the_pair_overlap_rounds_to_1():
+    config = ScenarioConfig.from_text("", (
+        "M=12", "alpha_max=3595.48", "G_p=1", "N=0", "I_th_var=0", "n_mean=1.404e-5",
+        "B=2.574e11",
+    ))
     practical, optimal = bob_practical_vs_optimal(config.link_params(), config.constellation())
     assert practical >= optimal

@@ -180,24 +180,19 @@ class TestRunScenario:
         spread = 3 * max(report.bob_ber_stderr, 1e-6)
         assert abs(report.bob_ber_montecarlo - report.bob_ber_analytic) < spread
 
-    def test_one_sided_link_analytic_errors_match_montecarlo(self, tmp_path):
-        # the off level's noise underflows to 0 and the on level's does not:
-        # P(1|0) = 0, so Bob errs at Phi(-Q) / 2 and a block at Phi(-Q)^2 / 2,
-        # here with Q about 0
+    def test_a_link_whose_off_level_noise_underflows_is_a_config_error(self, tmp_path, capsys):
+        # the off level's noise underflows to 0 and the on level's does not;
+        # no receiver is noise-free, so the link is out of double-precision range
         config_path = tmp_path / "scenario.cfg"
         config_path.write_text(default_config().to_text())
-        out = tmp_path / "report.txt"
         settings = ["M=1", "G_p=1", "N=0", "I_th_var=0", "B=1e-3",
                     "n_mean=1.3141473626117096e-283"]
-        argv = ["run", str(config_path), "--out", str(out)]
-        assert cli_main(argv + [a for kv in settings for a in ("--set", kv)]) == 0
-        fields = dict(line.split("=", 1) for line in out.read_text().splitlines() if "=" in line)
-        n = int(fields["trials"])
-        for name, count, expected in [("bob_ber", "bob_error_count", 0.25),
-                                      ("block_error", "block_error_count", 0.125)]:
-            analytic = float(fields[f"{name}_analytic"])
-            assert analytic == pytest.approx(expected, abs=1e-12)
-            assert log_tail_bound(int(fields[count]), n, analytic) >= math.log(1e-9)
+        argv = ["run", str(config_path)]
+        assert cli_main(argv + [a for kv in settings for a in ("--set", kv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("config error: ") and "n_mean" in err.split(":")[1]
+        assert "noise is 0" in err
 
     def test_coding_off_leaves_block_fields_empty(self):
         report = run_scenario(small_config(coding=False))
@@ -228,8 +223,6 @@ class TestRunScenario:
         {"m_bases": 320},
         {"n_repeaters": 0},
         {"thermal_var": 0.0},
-        # noise variances underflow to 0: midpoint thresholds, BER 0
-        {"g_p": 1.0, "n_repeaters": 0, "thermal_var": 0.0, "n_mean": 1e-300},
     ],
 )
 def test_link_tables_equal_per_basis_calls(overrides):
@@ -680,13 +673,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "n_mean, noise, code",
         [
-            # no noise, so the analytic BER is 0, but a basis's two currents
-            # round to one value (995 of 2000 symbols were wrong) or its
-            # threshold onto the on current (78 wrong)
+            # no thermal noise, and the shot noise underflows to 0: a config
+            # error, whether the currents round together or not
             ("1e-320", "0", 2),
             ("5e-305", "0", 2),
-            # noise-free with every basis split: no errors, as the analytic 0 says
-            ("1e-300", "0", 0),
+            ("1e-300", "0", 2),
             # merged currents under thermal noise: analytic and Monte Carlo both 1/2
             ("1e-320", "1e-13", 0),
         ],
@@ -706,7 +697,7 @@ class TestCli:
         cells = dict(line.split("=", 1) for line in out.splitlines()[1:])
         for name in ("bob_ber", "block_error"):
             analytic = float(cells[f"{name}_analytic"])
-            assert analytic == (0.0 if noise == "0" else 0.5)
+            assert analytic == 0.5
             spread = 4 * float(cells[f"{name}_stderr"])
             assert abs(float(cells[f"{name}_montecarlo"]) - analytic) <= spread
 
