@@ -2,8 +2,7 @@
 
 ``lfsr_fill`` expands the Galois LFSR keystream in whole 4096-bit
 super-blocks, their states one state-grid gather and their bits one lane-table
-gather. ``decision_cuts`` turns Bob's threshold decision into one cut per level,
-and the other kernels are the Monte Carlo steps of the scenario runner.
+gather. The other kernels are the Monte Carlo steps of the scenario runner.
 
 The Monte Carlo kernels decide a symbol only where its draw can cross a
 cut (``decision_reach``): at the default link, about 0.3% of Bob's draws
@@ -111,24 +110,6 @@ def lfsr_fill(state, mask, n_bits):
     return np.unpackbits(packed.view(np.uint8), bitorder="little"), states[supers]
 
 
-def decision_cuts(mean_i, sigma_i, thr_level):
-    """Per-level cut of Bob's threshold decision, (thr_level - mean_i) /
-    sigma_i: a symbol on the level is decided high when its noise draw z
-    exceeds the cut, where its photocurrent mean + sigma * z exceeds the
-    threshold.
-
-    The quotient rounds twice, so it can sit a few ulps from the exact
-    flip of the float expression ``mean + sigma * z > thr``; on a valid link
-    the window between them is about 1e-14 of the cut. The degenerate levels
-    decide as that expression does. A noise-free level's cut is +-inf, so
-    every finite z passes or none does; where thr == mean and sigma == 0 it
-    is NaN, and z > nan is False; an overflowing quotient is +-inf.
-    """
-    mean, sigma, thr = (np.asarray(a, dtype=np.float64) for a in (mean_i, sigma_i, thr_level))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return (thr - mean) / sigma
-
-
 def level_index(basis, high, m):
     """Level row of each symbol, basis + m * high, as np.intp: keyed draws
     come in the narrowest unsigned dtype, where that sum would wrap."""
@@ -138,9 +119,7 @@ def level_index(basis, high, m):
 def decision_reach(cut, m):
     """(top, floor) of a per-level cut table whose first m levels are the low
     halves: a draw x with top < x <= floor passes every high level's cut and
-    no low level's, so it decides each level as its own half. A NaN cut is
-    never passed, so on a high level it puts top at +inf."""
-    cut = np.where(np.isnan(cut), np.inf, cut)
+    no low level's, so it decides each level as its own half."""
     return cut[m:].max(), cut[:m].min()
 
 

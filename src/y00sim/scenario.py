@@ -369,14 +369,19 @@ def _draw_code_ids(gen: KeystreamGenerator, count: int) -> np.ndarray:
 
 
 def _link_tables(params: LinkParams, spec: ConstellationSpec):
-    """Per-level current means/sigmas and per-basis thresholds and BERs.
-    Basis j pairs level j (off) with level j + M (on)."""
+    """(cut, basis_ber): Bob's per-level cut and per-basis BERs, basis j
+    pairing level j (off) with level j + M (on). A symbol on level l is
+    decided high when its noise draw z exceeds cut[l] = (thr - mean) / sigma,
+    within about 1e-14 of the cut of where its photocurrent mean + sigma * z
+    exceeds thr (the quotient rounds twice); an overflowing cut is +-inf."""
     m = spec.m_bases
     rates = level_photon_rate(params, spec, np.arange(2 * m))
     thresholds, i_on, i_off, sigma_on, sigma_off = decision_point(params, rates[m:], rates[:m])
     basis_ber = gaussian_ber(i_on, i_off, sigma_on, sigma_off)
     mean_i, sigma_i = np.concatenate([i_off, i_on]), np.concatenate([sigma_off, sigma_on])
-    return mean_i, sigma_i, thresholds, basis_ber
+    with np.errstate(over="ignore"):
+        cut = (np.tile(thresholds, 2) - mean_i) / sigma_i
+    return cut, basis_ber
 
 
 def _link_check(values: dict, spec: ConstellationSpec) -> tuple[Optional[tuple], Optional[str]]:
@@ -420,7 +425,7 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
     spec = config.constellation()
     assignment = BasisAssignment(config.assignment)
     m = spec.m_bases
-    mean_i, sigma_i, thresholds, basis_ber = config._link[0]
+    bob_cut, basis_ber = config._link[0]
 
     # the levels are the distinct kets of either assignment's bit mixtures
     if 2 * m <= _PINNED_LADDER_MAX_ROWS:
@@ -437,7 +442,6 @@ def run_scenario(config: ScenarioConfig) -> TrialReport:
         eve_bit_error = helstrom_error(root, np.repeat((-1.0, 1.0), m) / (2 * m))
     _, eve_state_error = srm_diagonal(np.diag(root))
     eve_cut = _eve_cuts(root, m)
-    bob_cut = kernels.decision_cuts(mean_i, sigma_i, np.tile(thresholds, 2))
     # only the draws outside a table's reach are decided one by one
     eve_reach = kernels.decision_reach(eve_cut, m)
     bob_reach = kernels.decision_reach(bob_cut, m)

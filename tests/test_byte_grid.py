@@ -43,6 +43,7 @@ LINKS = {
     "underflow": ["G_p=1", "N=0", "I_th_var=0", "B=1e-3", "n_mean=1.3141473626117096e-283"],
     "near_half": ["n_mean=1e9", "alpha_max=1"],
 }
+OVERFLOW_LINK = ["G_p=1", "N=0", "I_th_var=0", "B=5e-324", "n_mean=1e300"]
 GRID_M = [1, 2, 3, 15, 16, 17, 33, 64, 65]
 ASSIGNMENTS = ["assignment=osk", "assignment=non_overlap"]
 # each a config error (exit 2), but the zero seed, a run-time error (exit 1)
@@ -105,6 +106,16 @@ def grid_argvs() -> list[list[str]]:
     argvs.append(_argv("sweep_variable=M", "sweep_values=2,8.5", command="sweep"))
     argvs.append(_argv("seed_key=0000", "keystream=counter_hash"))
     argvs.append(_argv("seed_key=0000", command="attacks"))
+    # the README's run, whose maximal polynomial factors 2^32 - 1
+    argvs.append(["run", CFG, "--set", "trials=20000", "--set", "lfsr_poly=80000062"])
+    # a 40-bit register, which has no default polynomial
+    argvs.append(_argv("seed_key=ACE1F00D12", "lfsr_poly=800000001C"))
+    # a link whose cuts overflow to +-inf, so Bob never errs
+    for assignment in ASSIGNMENTS:
+        argvs.append(_argv(assignment, *OVERFLOW_LINK))
+    # probes the 4x4 embedding rejects (exit 2)
+    for alpha in ["1e-9", "2.5e-2"]:
+        argvs.append(_argv(f"alpha_max={alpha}", command="attacks"))
     rng = random.Random(20261022)
     for _ in range(60):
         keys = rng.sample(sorted(RANDOM_VALUES), rng.randint(2, 6))

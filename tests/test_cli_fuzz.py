@@ -70,12 +70,13 @@ def sweeps(draw):
     return key, values + ([tail] if tail is not None else [])
 
 
-# A config error must stop a command before these: the 2M-state roots, Bob's
-# decision cuts and the keyed draws. (The attacks probe's own 4x4 root comes
-# before its floor check, which fails on that root.)
+# A config error must stop a command before these: the 2M-state roots, the
+# first Monte Carlo step (Bob's cut is built during validation, with the link
+# tables) and the keyed draws. (The attacks probe's own 4x4 root comes before
+# its floor check, which fails on that root.)
 WORK = [
     (scenario, "orthonormal_embedding"), (scenario, "embedding_diagonal"),
-    (kernels, "decision_cuts"), (scenario, "draw_uniform"), (y00_cipher, "draw_uniform"),
+    (kernels, "decision_reach"), (scenario, "draw_uniform"), (y00_cipher, "draw_uniform"),
 ]
 # a step past a range, or a value out of double-precision reach (exit 2)
 OUT_OF_RANGE = [

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from y00sim import kernels, scenario
 from y00sim.coherent_algebra import orthonormal_embedding
 from y00sim.errors import ConfigError
+from y00sim.fiber_link import decision_point, level_photon_rate
 from y00sim.overlap_coding import pattern_array
 from y00sim.scenario import ScenarioConfig
 from y00sim.y00_cipher import LFSR_MASKS, ConstellationSpec
@@ -124,7 +125,7 @@ KEY_LOW, KEY_HIGH = float_keys(np.array([-BIG, BIG]))
 
 def full_range_cuts(mean, sigma, thr):
     """The exact cut of the float expression mean + sigma * z > thr, the
-    oracle for decision_cuts' quotient: the largest finite z that fails,
+    oracle for Bob's quotient cut: the largest finite z that fails,
     -inf when every finite z passes and the largest float when none does.
     Both roundings are monotone and sigma >= 0, so the expression flips at
     most once in z, and bisection over the keys of every finite float64
@@ -147,11 +148,16 @@ def full_range_cuts(mean, sigma, thr):
 
 
 def link_levels(overrides):
+    """(M, mean, sigma, thr, cut) per level of a link: the photocurrent
+    means, sigmas and thresholds from ``decision_point``, and Bob's cut from
+    the link tables."""
     config = ScenarioConfig(**overrides)
-    mean_i, sigma_i, thresholds, _ = scenario._link_tables(
-        config.link_params(), config.constellation()
-    )
-    return config.m_bases, mean_i, sigma_i, np.tile(thresholds, 2)
+    params, spec, m = config.link_params(), config.constellation(), config.m_bases
+    rates = level_photon_rate(params, spec, np.arange(2 * m))
+    thresholds, i_on, i_off, sigma_on, sigma_off = decision_point(params, rates[m:], rates[:m])
+    cut, _ = scenario._link_tables(params, spec)
+    mean_i, sigma_i = np.concatenate([i_off, i_on]), np.concatenate([sigma_off, sigma_on])
+    return m, mean_i, sigma_i, np.tile(thresholds, 2), cut
 
 
 U = 2.0 ** -53  # unit roundoff
@@ -169,31 +175,24 @@ def cut_bound(sigma, thr, cut):
     return 2 * (3 * U * abs(cut) + (U * abs(thr) + TINY) / sigma) + np.spacing(abs(cut))
 
 
-def assert_cuts_near_the_exact_ones(mean, sigma, thr):
-    """decision_cuts within cut_bound of the oracle's exact cuts on noisy
-    levels. On a noise-free one it is not finite, and every finite z passes
-    it exactly when every one passes the oracle's: -inf, or +inf or NaN
-    (thr == mean), which none passes. The oracle is checked too: its cut
-    fails and the next float up passes."""
-    cut = kernels.decision_cuts(mean, sigma, thr)
+def assert_cuts_near_the_exact_ones(mean, sigma, thr, cut):
+    """Bob's cuts within cut_bound of the oracle's exact cuts on levels
+    whose noise is positive, as a valid link's is. The oracle is checked
+    too: its cut fails and the next float up passes."""
+    assert np.all(sigma > 0)
     exact = full_range_cuts(mean, sigma, thr)
-    noisy, quiet = sigma > 0, sigma == 0
-    bound = cut_bound(sigma[noisy], thr[noisy], cut[noisy])
-    assert np.all(np.abs(cut[noisy] - exact[noisy]) <= bound)
-    assert not np.isfinite(cut[quiet]).any()
-    assert np.array_equal(0.0 > cut[quiet], exact[quiet] == -np.inf)
+    assert np.all(np.abs(cut - exact) <= cut_bound(sigma, thr, cut))
     inner = np.isfinite(exact) & (exact < BIG)
     mean, sigma, thr, exact = mean[inner], sigma[inner], thr[inner], exact[inner]
     with np.errstate(over="ignore"):
         assert not np.any(mean + sigma * exact > thr)
         assert np.all(mean + sigma * np.nextafter(exact, np.inf) > thr)
-    return cut
 
 
 @pytest.mark.parametrize("link", sorted(LINKS))
 def test_decision_cuts_are_near_the_exact_cuts_on_link_tables(link):
-    m, mean_i, sigma_i, thr = link_levels(LINKS[link])
-    cut = assert_cuts_near_the_exact_ones(mean_i, sigma_i, thr)
+    m, *levels, cut = link_levels(LINKS[link])
+    assert_cuts_near_the_exact_ones(*levels, cut)
     # a low level passes above its cut and a high one below it
     assert np.all(cut[:m] > 0) and np.all(cut[m:] < 0)
 
@@ -232,20 +231,19 @@ def test_decision_cuts_are_near_the_exact_cuts_on_valid_links(link):
     assert_cuts_near_the_exact_ones(*link[1:])
 
 
+# a valid link whose quotients overflow: no amplifier or thermal noise, a
+# subnormal bandwidth and 1e300 photons, so each sigma is about 1e-311 of
+# its gap thr - mean
+OVERFLOW_LINK = dict(g_p=1.0, n_repeaters=0, thermal_var=0.0, bandwidth=5e-324, n_mean=1e300)
+
+
 def test_decision_cuts_at_the_extremes():
-    # (mean, sigma, thr): noise-free levels, thresholds on a noise-free
-    # mean, quotients that overflow, and gaps thr - mean that overflow
-    cases = np.array([
-        (1.0, 0.0, 0.5), (1.0, 0.0, 2.0), (1.0, 0.0, 1.0), (0.0, 0.0, 0.0),
-        (1.0, 1e-300, -1e308), (1.0, 1e-300, 1e308), (-1e308, 1.0, 1e308), (1e308, 1.0, -1e308),
-    ]).T
-    cut = kernels.decision_cuts(*cases)
-    assert list(cut[:2]) == [-np.inf, np.inf] and np.isnan(cut[2:4]).all()
-    assert list(cut[4:]) == [-np.inf, np.inf, np.inf, -np.inf]
+    m, *levels, cut = link_levels(OVERFLOW_LINK)
+    assert np.all(cut[:m] == np.inf) and np.all(cut[m:] == -np.inf)
     # each decides as the float expression on every finite z, as the exact cut does
     z = np.concatenate([np.random.default_rng(1).standard_normal(1000),
                         [-BIG, -1e300, -1.0, -TINY, -0.0, 0.0, TINY, 1.0, 1e300, BIG]])
-    for mean, sigma, thr, c, exact in zip(*cases, cut, full_range_cuts(*cases)):
+    for mean, sigma, thr, c, exact in zip(*levels, cut, full_range_cuts(*levels)):
         with np.errstate(over="ignore"):
             expected = mean + sigma * z > thr
         assert np.array_equal(z > c, expected)
@@ -263,7 +261,7 @@ def near_cuts(cuts, rng):
 
 @pytest.mark.parametrize("link", sorted(LINKS))
 def test_one_cut_kernels_match_the_float_decisions(link):
-    m, mean_i, sigma_i, thr = link_levels(LINKS[link])
+    m, mean_i, sigma_i, thr, _ = link_levels(LINKS[link])
     thresholds = thr[:m]
     cut = full_range_cuts(mean_i, sigma_i, thr)
     rng = np.random.default_rng(2 * m + len(link))
@@ -328,16 +326,6 @@ def ladder_eve_cuts(m, alpha_max):
     return scenario._eve_cuts(orthonormal_embedding(spec.ensemble()), m)
 
 
-def nan_level(m, high):
-    """The default link's cuts with one level's threshold on its noise-free
-    mean, so that its cut is NaN: the first low level, or the last high one."""
-    _, mean_i, sigma_i, thr = link_levels(dict(m_bases=m))
-    level = 2 * m - 1 if high else 0
-    mean_i, sigma_i = mean_i.copy(), sigma_i.copy()
-    mean_i[level], sigma_i[level] = thr[level], 0.0
-    return kernels.decision_cuts(mean_i, sigma_i, thr)
-
-
 def eve_cuts_at_the_ends(m):
     """An Eve cut table with cuts of exactly 1 on low levels and 0 on high
     ones, beside a ladder's: a low level whose guess is always 0 and a high
@@ -348,14 +336,12 @@ def eve_cuts_at_the_ends(m):
 
 
 # (M, cut table): Bob's cuts on every link, Eve's on ladders from one
-# level to strongly overlapping ones, NaN cuts, and Eve's cuts at 0 and 1
+# level to strongly overlapping ones, and Eve's cuts at 0 and 1
 CUT_TABLES = {
-    **{f"bob {name}": lambda link=link: (link["m_bases"], kernels.decision_cuts(
-        *link_levels(link)[1:])) for name, link in LINKS.items()},
+    **{f"bob {name}": lambda link=link: (link["m_bases"], link_levels(link)[4])
+       for name, link in LINKS.items()},
     **{f"eve M={m} alpha={a}": lambda m=m, a=a: (m, ladder_eve_cuts(m, a))
        for m, a in [(1, 10.0), (4, 1.0), (16, 100.0), (16, 1.0), (64, 30.0)]},
-    "nan low": lambda: (16, nan_level(16, high=False)),
-    "nan high": lambda: (16, nan_level(16, high=True)),
     "eve 0 and 1": lambda: (4, eve_cuts_at_the_ends(4)),
 }
 
@@ -383,23 +369,13 @@ def test_reach_filtered_kernels_match_the_full_decisions(table):
     ) == full_coded_errors(basis, polarity, code_id, bits, z3, cut)
 
 
-def test_nan_cuts_set_the_reach():
-    # a NaN low cut is never passed, so it leaves the floor; a NaN high cut
-    # fails every draw, so every draw is checked
-    assert kernels.decision_reach(np.array([np.nan, 1.0, -1.0, -2.0]), 2) == (-1.0, 1.0)
-    assert kernels.decision_reach(np.array([3.0, 1.0, -1.0, np.nan]), 2) == (np.inf, 1.0)
-    assert kernels.decision_reach(np.array([np.nan, np.nan]), 1) == (np.inf, np.inf)
-
-
 @pytest.mark.parametrize("m", [1, 2, 8, 32])
 def test_a_noise_free_symbol_decides_as_its_bit(m):
     # Bob's level rule without an oracle: with unit noise and each basis's
     # midpoint as both its levels' threshold, a cut is that midpoint, and a
-    # noise-free symbol's draw is its level's amplitude. (Zero noise would
-    # give +-inf cuts, which put every draw inside the reach, undecided.)
+    # noise-free symbol's draw is its level's amplitude
     amps = ConstellationSpec.intensity_ladder(m, 10.0).level_amplitudes()
-    midpoint = np.tile((amps[:m] + amps[m:]) / 2, 2)
-    cut = kernels.decision_cuts(0.0, 1.0, midpoint)
+    cut = np.tile((amps[:m] + amps[m:]) / 2, 2)
     reach = kernels.decision_reach(cut, m)
     basis, polarity, bits = (a.ravel() for a in np.meshgrid(
         np.arange(m, dtype=np.uint8), *[np.arange(2, dtype=np.uint8)] * 2, indexing="ij"))
@@ -512,8 +488,7 @@ def test_lfsr_fill_matches_oracle_on_any_register(register, n):
 def test_narrow_draw_lanes_cannot_wrap_an_index(m):
     # keyed draws come as uint8 up to M=256 and uint16 up to M=1024; from
     # M=128 on a uint8 basis + M * high would wrap
-    _, mean_i, sigma_i, thr = link_levels(dict(m_bases=m))
-    cut = kernels.decision_cuts(mean_i, sigma_i, thr)
+    cut = link_levels(dict(m_bases=m))[4]
     rng = np.random.default_rng(m)
     n = 20_000
     basis = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])

@@ -14,7 +14,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from y00sim.errors import ConfigError, ParameterError
 from y00sim.fiber_link import bob_practical_vs_optimal
@@ -72,6 +72,9 @@ def plausible(count: int, n: int, p: float) -> bool:
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(run_configs())
+# a link whose cuts overflow to +-inf: its BER and Bob's count are 0
+@example(replace(default_config(), g_p=1.0, n_repeaters=0, thermal_var=0.0, bandwidth=5e-324,
+                 n_mean=1e300, trials=20_000))
 def test_each_count_agrees_with_its_analytic_value(config):
     report = run_scenario(config)
     n = report.trials

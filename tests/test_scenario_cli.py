@@ -232,12 +232,12 @@ def test_link_tables_equal_per_basis_calls(overrides):
     params = config.link_params()
     m = spec.m_bases
     rates = level_photon_rate(params, spec, np.arange(2 * m))
-    mean_i, sigma_i, thresholds, basis_ber = _link_tables(params, spec)
+    cut, basis_ber = _link_tables(params, spec)
     per_basis = [decision_point(params, rates[j + m], rates[j]) for j in range(m)]
     threshold, i_on, i_off, sigma_on, sigma_off = (np.array(column) for column in zip(*per_basis))
-    assert thresholds.tobytes() == threshold.tobytes()
-    assert mean_i.tobytes() == np.concatenate([i_off, i_on]).tobytes()
-    assert sigma_i.tobytes() == np.concatenate([sigma_off, sigma_on]).tobytes()
+    quotient = (np.tile(threshold, 2) - np.concatenate([i_off, i_on])) / np.concatenate(
+        [sigma_off, sigma_on])
+    assert cut.tobytes() == quotient.tobytes()
     expected_ber = [ber_on_off(params, rates[j + m], rates[j]) for j in range(m)]
     assert basis_ber.tobytes() == np.array(expected_ber).tobytes()
 
